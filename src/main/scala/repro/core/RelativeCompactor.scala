@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.immutable.ArraySeq
 
 /** One level of the REQ sketch: the relative-compactor of Algorithm 1.
   *
@@ -20,9 +20,13 @@ import scala.collection.mutable.ArrayBuffer
   * compactions advance `C`; merge combines states with bitwise OR
   * (Fact 15/18).
   *
-  * The buffer is kept unsorted; compactions sort. The coin that picks
-  * odd/even survivors is supplied by the caller so the sketch owns a single
-  * RNG stream.
+  * Items live in a growable `Array[Double]`: a sorted prefix followed by the
+  * unsorted tail inserted since the last compaction. A compaction sorts only
+  * the tail and merges it into the prefix from the back, in the total order
+  * of `java.util.Arrays.sort` (`java.lang.Double.compare`: −0.0 < 0.0, NaN
+  * last), so the result equals a full sort of the buffer; the survivors are
+  * then the sorted prefix. The coin that picks odd/even survivors is
+  * supplied by the caller so the sketch owns a single RNG stream.
   */
 final class RelativeCompactor(
     var k: Int,
@@ -32,7 +36,12 @@ final class RelativeCompactor(
   require(k >= 2 && k % 2 == 0, s"section size must be even >= 2, got $k")
   require(numSections >= 2, s"need >= 2 sections, got $numSections")
 
-  private val buf = new ArrayBuffer[Double]
+  /** Items: `buf(0 until sorted)` is sorted, `buf(sorted until len)` is not.
+    * `len` is serialized as a field; `writeObject` writes the items.
+    */
+  @transient private var buf: Array[Double] = Array.emptyDoubleArray
+  private var len: Int = 0
+  @transient private var sorted: Int = 0
 
   /** Compaction-schedule state C (Algorithm 1 line 3). */
   var state: Long = 0L
@@ -40,22 +49,33 @@ final class RelativeCompactor(
   /** Buffer capacity B = 2·k·numSections. */
   def capacity: Int = 2 * k * numSections
 
-  def size: Int = buf.size
+  def size: Int = len
 
-  def isAtCapacity: Boolean = buf.size >= capacity
+  def isAtCapacity: Boolean = len >= capacity
 
-  def insert(x: Double): Unit = buf += x
+  def insert(x: Double): Unit = {
+    if (len == buf.length) grow(len + 1)
+    buf(len) = x
+    len += 1
+  }
 
-  def insertAll(xs: Iterable[Double]): Unit = buf ++= xs
+  def insertAll(xs: Array[Double]): Unit = {
+    if (len + xs.length > buf.length) grow(len + xs.length)
+    System.arraycopy(xs, 0, buf, len, xs.length)
+    len += xs.length
+  }
 
-  /** Immutable view of the stored items (unsorted). */
-  def items: IndexedSeq[Double] = buf.toIndexedSeq
+  /** Copy of the stored items (in no particular order). */
+  def toArray: Array[Double] = java.util.Arrays.copyOf(buf, len)
+
+  /** Immutable view of the stored items (in no particular order). */
+  def items: IndexedSeq[Double] = ArraySeq.unsafeWrapArray(toArray)
 
   /** Number of stored items ≤ y. */
   def countAtMost(y: Double): Int = {
     var c = 0
     var i = 0
-    while (i < buf.length) { if (buf(i) <= y) c += 1; i += 1 }
+    while (i < len) { if (buf(i) <= y) c += 1; i += 1 }
     c
   }
 
@@ -85,7 +105,7 @@ final class RelativeCompactor(
     * when at most B/2 items are stored.
     */
   def specialCompact(rng: java.util.Random): Array[Double] = {
-    if (buf.size <= capacity / 2) Array.emptyDoubleArray
+    if (len <= capacity / 2) Array.emptyDoubleArray
     else compactFrom(capacity / 2, rng)
   }
 
@@ -94,21 +114,44 @@ final class RelativeCompactor(
     * ⌊c/2⌋ or ⌈c/2⌉ items — unbiased, Algorithm 4 line 30).
     */
   private def compactFrom(from: Int, rng: java.util.Random): Array[Double] = {
-    val arr = buf.toArray
-    java.util.Arrays.sort(arr)
-    val lo = math.max(0, math.min(from, arr.length))
-    val count = arr.length - lo
+    sortTail()
+    val lo = math.max(0, math.min(from, len))
+    val count = len - lo
     if (count <= 0) return Array.emptyDoubleArray
     val offset = if (rng.nextBoolean()) 1 else 0
-    val out = new ArrayBuffer[Double]((count + 1) / 2)
+    val out = new Array[Double]((count - offset + 1) / 2)
     var i = lo + offset
-    while (i < arr.length) { out += arr(i); i += 2 }
-    buf.clear()
     var j = 0
-    while (j < lo) { buf += arr(j); j += 1 }
+    while (i < len) { out(j) = buf(i); i += 2; j += 1 }
+    len = lo
+    sorted = lo
     state += 1
-    out.toArray
+    out
   }
+
+  /** Sort the tail and merge it into the sorted prefix from the back. */
+  private def sortTail(): Unit = {
+    if (sorted == len) return
+    java.util.Arrays.sort(buf, sorted, len)
+    if (sorted > 0 && java.lang.Double.compare(buf(sorted - 1), buf(sorted)) > 0) {
+      val tail = java.util.Arrays.copyOfRange(buf, sorted, len)
+      var i = sorted - 1
+      var j = tail.length - 1
+      var w = len - 1
+      while (j >= 0) {
+        if (i >= 0 && java.lang.Double.compare(buf(i), tail(j)) > 0) {
+          buf(w) = buf(i); i -= 1
+        } else {
+          buf(w) = tail(j); j -= 1
+        }
+        w -= 1
+      }
+    }
+    sorted = len
+  }
+
+  private def grow(minLength: Int): Unit =
+    buf = java.util.Arrays.copyOf(buf, math.max(minLength, math.max(16, 2 * buf.length)))
 
   /** Merge-time parameter refresh (N-squaring): capacity grows, items and
     * state are retained.
@@ -121,4 +164,31 @@ final class RelativeCompactor(
 
   /** Combine schedule states by bitwise OR (Algorithm 4 line 11). */
   def absorbState(otherState: Long): Unit = state |= otherState
+
+  /** Writes the fields (k, numSections, C and the item count), then the
+    * items: no spare capacity and no sort order.
+    */
+  private def writeObject(out: java.io.ObjectOutputStream): Unit = {
+    out.defaultWriteObject()
+    var i = 0
+    while (i < len) { out.writeDouble(buf(i)); i += 1 }
+  }
+
+  /** Reads what `writeObject` wrote. The items are taken as unsorted. Invalid
+    * parameters or an item count outside `[0, B]` mean foreign bytes; they
+    * are rejected before any item is allocated or read.
+    */
+  private def readObject(in: java.io.ObjectInputStream): Unit = {
+    in.defaultReadObject()
+    if (k < 2 || k % 2 != 0 || numSections < 2)
+      throw new java.io.InvalidObjectException(
+        s"invalid compactor parameters k=$k numSections=$numSections")
+    if (len < 0 || len.toLong > 2L * k * numSections)
+      throw new java.io.InvalidObjectException(
+        s"compactor item count $len outside [0, ${2L * k * numSections}]")
+    buf = new Array[Double](len)
+    var i = 0
+    while (i < len) { buf(i) = in.readDouble(); i += 1 }
+    sorted = 0
+  }
 }

@@ -140,8 +140,11 @@ final class ReqSketch(
 
   // ---------------------------------------------------------------- updates
 
-  /** Stream one item into the sketch (Algorithm 2). */
+  /** Stream one item into the sketch (Algorithm 2). NaN is skipped: it has
+    * no rank, so counting it would make `n` disagree with `rank`.
+    */
   def update(x: Double): Unit = {
+    if (x.isNaN) return
     count += 1
     if (count > bound) growBound()
     levels(0).insert(x)
@@ -156,9 +159,11 @@ final class ReqSketch(
 
   /** Merge `other` into the sketch with more levels and return it
     * (Algorithm 4). Both inputs are consumed: the returned sketch owns the
-    * merged state and the other argument must not be reused.
+    * merged state and the other argument must not be reused. A sketch cannot
+    * be merged with itself.
     */
   def merge(other: ReqSketch): ReqSketch = {
+    require(!(other eq this), "cannot merge a sketch with itself")
     require(other.profile == profile && other.eps == eps && other.delta == delta,
       "can only merge sketches with identical (eps, delta, profile)")
     val (tgt, src) = if (this.levels.size >= other.levels.size) (this, other) else (other, this)
@@ -173,7 +178,7 @@ final class ReqSketch(
     while (h < src.levels.size) {                // lines 8–11
       if (h == tgt.levels.size) tgt.addLevel()
       tgt.levels(h).absorbState(src.levels(h).state)
-      tgt.levels(h).insertAll(src.levels(h).items)
+      tgt.levels(h).insertAll(src.levels(h).toArray)
       h += 1
     }
     tgt.compressAll()                            // lines 12–17

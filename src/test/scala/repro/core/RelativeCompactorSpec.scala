@@ -196,4 +196,80 @@ class RelativeCompactorSpec extends AnyFunSuite {
       }
     }
   }
+
+  // ------------------------------------------- sorted-run merge vs full sort
+  //
+  // Reference model: the multiset in a plain buffer, fully sorted on every
+  // compaction, as `Arrays.sort` orders doubles (−0.0 < 0.0, NaN last). The
+  // compactor under test keeps a sorted prefix and merges in a sorted tail;
+  // every compaction output, the stored multiset and `countAtMost` must match
+  // it bit for bit, through any mix of operations and serialization.
+
+  private val pool = Array(Double.NegativeInfinity, -1.0, -0.0, 0.0, 0.5, 1.0,
+    2.0, Double.PositiveInfinity, Double.NaN)
+
+  private def bits(xs: Array[Double]): Seq[Long] =
+    xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private def sortedBits(xs: Array[Double]): Seq[Long] = {
+    val a = xs.clone(); java.util.Arrays.sort(a); bits(a)
+  }
+
+  private def serialRoundTrip(c: RelativeCompactor): RelativeCompactor = {
+    val bos = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bos)
+    oos.writeObject(c); oos.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+      .readObject().asInstanceOf[RelativeCompactor]
+  }
+
+  test("sorted-run compaction matches a full sort under random operation mixes") {
+    for (trial <- 1 to 300) {
+      val r = rng(trial)
+      def draw(): Double = if (r.nextInt(4) == 0) r.nextDouble() else pool(r.nextInt(pool.length))
+      var c = new RelativeCompactor(2 * (1 + r.nextInt(3)), 2 + r.nextInt(3))
+      var ref = Array.emptyDoubleArray
+      val (coins, refCoins) = (rng(1000L + trial), rng(1000L + trial))
+
+      // Algorithm 1's compaction on a fully sorted copy of the reference.
+      def refCompact(from: Int): Array[Double] = {
+        val a = ref.clone(); java.util.Arrays.sort(a)
+        val lo = math.max(0, math.min(from, a.length))
+        if (a.length - lo <= 0) return Array.emptyDoubleArray
+        val offset = if (refCoins.nextBoolean()) 1 else 0
+        ref = a.take(lo)
+        (lo + offset until a.length by 2).map(a(_)).toArray
+      }
+
+      for (step <- 1 to 400) {
+        r.nextInt(12) match {
+          case 0 | 1 | 2 | 3 =>
+            val x = draw(); c.insert(x); ref :+= x
+          case 4 | 5 =>
+            val xs = Array.fill(r.nextInt(3 * c.k))(draw()); c.insertAll(xs); ref ++= xs
+          case 6 | 7 if c.isAtCapacity =>
+            val from = c.capacity - c.nextCompactionSections * c.k
+            val st = c.state
+            assert(bits(c.compact(coins)) == bits(refCompact(from)), s"trial $trial step $step")
+            assert(c.state == st + 1)
+          case 8 =>
+            val (st, compacts) = (c.state, ref.length > c.capacity / 2)
+            val expected = if (compacts) refCompact(c.capacity / 2) else Array.emptyDoubleArray
+            assert(bits(c.specialCompact(coins)) == bits(expected), s"trial $trial step $step")
+            assert(c.state == st + (if (compacts) 1 else 0))
+          case 9 =>
+            c.setParams(2 * (1 + r.nextInt(4)), 2 + r.nextInt(4))
+          case 10 if c.size <= c.capacity =>
+            val st = c.state
+            c = serialRoundTrip(c)
+            assert(c.state == st)
+          case _ =>
+        }
+        assert(c.size == ref.length)
+        assert(sortedBits(c.toArray) == sortedBits(ref), s"trial $trial step $step")
+        for (y <- pool :+ draw())
+          assert(c.countAtMost(y) == ref.count(_ <= y), s"trial $trial step $step y=$y")
+      }
+    }
+  }
 }

@@ -150,4 +150,11 @@ class ReqSketchMergeSpec extends AnyFunSuite {
     assert(acc.n == 20000)
     assert(Harness.errProfile(acc.rank, data).maxRel <= 1.5 * eps)
   }
+
+  test("merging a sketch with itself is rejected and leaves it unchanged") {
+    val s = sketchOf(Workloads.uniform(20000, 32), seed = 33)
+    val (n, cs) = (s.n, s.coreset.toSeq)
+    intercept[IllegalArgumentException](s.merge(s))
+    assert(s.n == n && s.coreset.toSeq == cs)
+  }
 }

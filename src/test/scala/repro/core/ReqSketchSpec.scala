@@ -202,4 +202,205 @@ class ReqSketchSpec extends AnyFunSuite {
     val qs = Array(0.1, 0.5, 0.9)
     assert(s.ranks(qs).toSeq == qs.map(s.rank).toSeq)
   }
+  test("NaN is skipped: n, rank and quantile agree on the other items") {
+    val rng = new java.util.Random(71)
+    val data = Array.fill(100000)(if (rng.nextInt(10) == 0) Double.NaN else rng.nextDouble())
+    val clean = data.filterNot(_.isNaN)
+    val s = ReqSketch(0.05, 0.1, seed = 73)
+    s.updateAll(data)
+    assert(s.n == clean.length)
+    assert(Harness.errProfile(s.rank, clean).maxRel <= 0.075)
+    val q = s.quantile(0.95)
+    assert(!q.isNaN && !q.isInfinite)
+    val trueRank = ExactRank.ranksLocal(clean.clone(), Array(q)).head
+    val target = math.ceil(0.95 * clean.length)
+    assert(math.abs(trueRank - target) <= 0.1 * target + s.bufferCapacity / 2.0,
+      s"trueRank=$trueRank target=$target")
+  }
+
+  test("±Inf are ordinary items for rank and quantile") {
+    val small = ReqSketch(0.1, 0.1, seed = 75)
+    small.updateAll(Array(Double.PositiveInfinity, -1.0, Double.NegativeInfinity, 0.0,
+      Double.PositiveInfinity, 1.0))
+    assert(small.n == 6)
+    assert(small.rank(Double.NegativeInfinity) == 1)
+    assert(small.rank(Double.MaxValue) == 4)
+    assert(small.rank(Double.PositiveInfinity) == 6)
+    assert(small.quantile(1.0 / 6) == Double.NegativeInfinity)
+    assert(small.quantile(0.5) == 0.0)
+    assert(small.quantile(1.0) == Double.PositiveInfinity)
+
+    // 1% of each infinity in a stream long enough to compact
+    val rng = new java.util.Random(77)
+    val data = Array.fill(200000) {
+      rng.nextInt(100) match {
+        case 0 => Double.NegativeInfinity
+        case 1 => Double.PositiveInfinity
+        case _ => rng.nextDouble()
+      }
+    }
+    val s = ReqSketch(0.05, 0.1, seed = 79)
+    s.updateAll(data)
+    assert(s.n == data.length)
+    assert(Harness.errProfile(s.rank, data).maxRel <= 0.075)
+    assert(s.rank(Double.PositiveInfinity) == s.totalWeight)
+    assert(s.quantile(0.005) == Double.NegativeInfinity)
+    assert(s.quantile(1.0) == Double.PositiveInfinity)
+  }
+
+  // ------------------------------------------------------------ golden state
+  //
+  // Sketch state pinned for fixed seeds: any change that does not change the
+  // algorithm must leave every compaction coin, promoted item, level size and
+  // schedule state as it was. Streams mix uniform doubles with heavy
+  // duplicates, ±0.0 and ±Inf so that ties reach every compaction.
+
+  private def goldenStream(n: Int, seed: Long): Array[Double] = {
+    val r = new java.util.Random(seed)
+    val xs = Array.fill(n) {
+      r.nextInt(16) match {
+        case 0 => -0.0
+        case 1 => 0.0
+        case 2 => Double.PositiveInfinity
+        case 3 => Double.NegativeInfinity
+        case 4 | 5 | 6 => math.floor(r.nextDouble() * 64)
+        case _ => r.nextDouble()
+      }
+    }
+    if (seed % 3 == 0) Workloads.ordered(xs, "reversed") else xs
+  }
+
+  /** SHA-256 of the sorted coreset's (raw bits, weight) pairs. */
+  private def coresetDigest(s: ReqSketch): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val bb = java.nio.ByteBuffer.allocate(16)
+    s.coreset.foreach { case (x, w) =>
+      bb.clear()
+      bb.putLong(java.lang.Double.doubleToRawLongBits(x)).putLong(w)
+      md.update(bb.array())
+    }
+    md.digest().map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  private def goldenState(s: ReqSketch): String =
+    s"sizes=${s.levelSizes.mkString(",")} " +
+      s"states=${(0 to s.height).map(s.levelState).mkString(",")} " +
+      s"n=${s.n} bound=${s.nBound} sha256=${coresetDigest(s)}"
+
+  private val goldenProfiles = Seq[(ParamProfile, Double)](
+    Practical -> 0.01, Theory -> 0.05, FixedK(12) -> 0.01)
+
+  private val golden: Map[String, String] = Map(
+    "stream/Practical/seed=1" ->
+      ("sizes=6153,5822,6068,6211,6129,6068,5735,2323" +
+        " states=3175,1260,531,246,108,41,8,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=99cf61d7289a00211fe4dc893e980fa15e18102b6614466b77c8acb9177b730c"),
+    "merge64/Practical/seed=1" ->
+      ("sizes=6068,6068,5904,6068,5740,5740,6200,2235" +
+        " states=511,63,62,59,52,36,8,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=1adbe9cfa045c299336dfa5520c9eecd2982d767c841b1712cbc079854139a9d"),
+    "stream/Practical/seed=2" ->
+      ("sizes=6153,5822,6068,6212,6130,6068,5735,2325" +
+        " states=3175,1260,531,246,108,41,8,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=1f1218e91909bc5d7edcc0852e130f8a656dd928ca3af92bb96c1fd488ab5d1a"),
+    "merge64/Practical/seed=2" ->
+      ("sizes=6068,6068,5904,6068,5740,5740,6202,2231" +
+        " states=511,63,62,59,52,36,8,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=4c328899e8873728215465f56142a2c26f5174c6c2d8aa4a7972a5bc4ed320c5"),
+    "stream/Practical/seed=3" ->
+      ("sizes=6153,5822,6068,6211,6130,6068,5735,2327" +
+        " states=3175,1260,531,246,108,41,8,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=94bd52d522a3431fac90afc8f360cdadee739233ea2eefdba44f16f6bea3e730"),
+    "merge64/Practical/seed=3" ->
+      ("sizes=6068,6068,5904,6068,5740,5740,6200,2231" +
+        " states=511,63,62,59,52,36,8,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=ea1755a40b13389f6c5c98a0989f6e663f2e2708435d9394e1ebfc05f865812e"),
+    "stream/Theory/seed=1" ->
+      ("sizes=9762,9728,9216,9984,10128,9728,6708" +
+        " states=2026,798,344,153,61,18,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=0d83a630e27f86601ead05f208ca0fec100c7ed277a547e21af4e77368066f98"),
+    "merge64/Theory/seed=1" ->
+      ("sizes=9216,9984,9472,9984,9728,9984,6664" +
+        " states=504,63,60,55,42,17,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=817aded93f1668732810862d20ac2eba3b74c5695984090a2dd9f2499b21a786"),
+    "stream/Theory/seed=2" ->
+      ("sizes=9762,9728,9216,9984,10128,9728,6707" +
+        " states=2026,798,344,153,61,18,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=08b71a77c6dd764c88cb8d7e01f174a21894cade0f097162de760447f0f70283"),
+    "merge64/Theory/seed=2" ->
+      ("sizes=9216,9984,9472,9984,9728,9984,6664" +
+        " states=504,63,60,55,42,17,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=01d92d36912b06de9880f061e5174b6cba9824a9b872294f19a5728cba5d2cd0"),
+    "stream/Theory/seed=3" ->
+      ("sizes=9762,9728,9216,9984,10128,9728,6708" +
+        " states=2026,798,344,153,61,18,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=1e35fc7e4007129b823c073b6f697efcfaf9cdd7cc5fe8a02fee495410706e15"),
+    "merge64/Theory/seed=3" ->
+      ("sizes=9216,9984,9472,9984,9728,9984,6664" +
+        " states=504,63,60,55,42,17,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=56b30303a055231f7a4c82b158a5e38577ffc7d14bf41618c608a100017d1f72"),
+    "stream/FixedK(12)/seed=1" ->
+      ("sizes=516,522,516,511,504,516,516,516,525,505,511" +
+        " states=43670,17434,7623,3598,1768,879,431,201,87,28,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=c5c86f54183c8edc91f6ef16b80c1f6d14f64a1282b05c848550676cc32cabaf"),
+    "merge64/FixedK(12)/seed=1" ->
+      ("sizes=516,516,516,504,480,516,492,516,468,492,516,9" +
+        " states=1023,2047,255,1022,120,63,60,57,48,28,1,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=1f09e3663d59b48a43aa5cb4f236a034131c72a5da6b65244ed9525fcf52d2dd"),
+    "stream/FixedK(12)/seed=2" ->
+      ("sizes=516,522,516,511,503,504,480,516,508,516,507" +
+        " states=43670,17434,7623,3598,1768,870,424,199,84,29,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=9f8cd7d910f1ecc3de1bf085f68c1f0ce486ebe7cb4abe11185401a59733c63e"),
+    "merge64/FixedK(12)/seed=2" ->
+      ("sizes=516,516,516,504,480,516,492,480,516,524,512" +
+        " states=1023,2047,255,1022,120,63,60,56,49,26,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=79c964294d2375bcbe8ee89067ead26ae71c7473bb7af0e0cb27d54e26bb3a77"),
+    "stream/FixedK(12)/seed=3" ->
+      ("sizes=516,522,516,512,492,516,504,480,516,506,521" +
+        " states=43670,17434,7623,3598,1776,879,426,200,87,28,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=f4a36ee50f32ceba9cc810b92d7f734bc8cde95d3ec4578b3b516236f8f6f103"),
+    "merge64/FixedK(12)/seed=3" ->
+      ("sizes=516,516,516,504,516,516,492,480,516,522,509" +
+        " states=1023,2047,255,1022,119,63,60,56,49,26,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=aee9771dfd7560c63045c7b630029e4c45c7e2d418ab0a0acbcfc46c54ad27da")
+  )
+
+  for ((profile, eps) <- goldenProfiles; seed <- 1 to 3; mode <- Seq("stream", "merge64")) {
+    val name = s"$mode/$profile/seed=$seed"
+    test(s"golden sketch state: $name") {
+      val data = goldenStream(1 << 20, seed)
+      val s = mode match {
+        case "stream" =>
+          val s = ReqSketch(eps, 0.05, profile, seed = seed)
+          s.updateAll(data)
+          s
+        case _ =>
+          data.grouped(data.length / 64).zipWithIndex.map { case (c, i) =>
+            val chunk = ReqSketch(eps, 0.05, profile, seed = 100 * seed + i)
+            chunk.updateAll(c)
+            ReqSketch.fromBytes(ReqSketch.toBytes(chunk))
+          }.reduce((a, b) => a.merge(b))
+      }
+      val actual = goldenState(s)
+      assert(golden.get(name).contains(actual), s"\"$name\" -> \"$actual\",")
+    }
+  }
 }

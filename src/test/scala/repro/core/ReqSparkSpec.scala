@@ -126,4 +126,13 @@ class ReqSparkSpec extends SparkSpec {
     val rt = ReqSketch.fromBytes(ReqSketch.toBytes(s))
     assert(rt.n == s.n && rt.rank(0.5) == s.rank(0.5))
   }
+
+  test("UDAF skips NaN rows, as sketchColumn does") {
+    import spark.implicits._
+    val df = Seq(1.0, Double.NaN, 2.0, Double.NaN, 3.0).toDF("x")
+    val bytes = df.agg(ReqSpark.reqUdaf(0.1, 0.1, Practical, seed = 21)(col("x")).alias("sk"))
+      .head().getAs[Array[Byte]]("sk")
+    val s = ReqSketch.fromBytes(bytes)
+    assert(s.n == 3 && s.rank(3.0) == 3 && s.quantile(1.0) == 3.0)
+  }
 }

@@ -69,4 +69,44 @@ class SerializationSpec extends AnyFunSuite {
     val t = roundTrip(s)
     assert(t.profile == FixedK(16) && t.n == 30000)
   }
+
+  test("serialized size is at most 9 bytes per stored item plus 4 KiB") {
+    for (eps <- Seq(0.01, 0.1)) {
+      val s = ReqSketch(eps, 0.05, seed = 17)
+      s.updateAll(Workloads.uniform(1 << 20, 18))
+      val bytes = ReqSketch.toBytes(s).length
+      assert(bytes <= 9L * s.itemsStored + 4096, s"eps=$eps bytes=$bytes items=${s.itemsStored}")
+    }
+  }
+
+  /** Bytes of a sketch holding 3 items at level 0, with the level's item
+    * count replaced by `count`. Java serialization writes a compactor's int
+    * fields by name: k, len (the item count), numSections.
+    */
+  private def withLevelCount(count: Int): Array[Byte] = {
+    val s = ReqSketch(0.1, 0.1, seed = 19)
+    Seq(1.5, 2.5, 3.5).foreach(s.update)
+    val bytes = ReqSketch.toBytes(s)
+    val sections = s.bufferCapacity / (2 * s.sectionSize)
+    val fields = java.nio.ByteBuffer.allocate(12).putInt(s.sectionSize).putInt(3).putInt(sections)
+    val at = bytes.indexOfSlice(fields.array())
+    assert(at >= 0 && bytes.indexOfSlice(fields.array(), at + 1) < 0)
+    java.nio.ByteBuffer.wrap(bytes).putInt(at + 4, count)
+    bytes
+  }
+
+  test("a negative or above-capacity item count is rejected") {
+    assert(ReqSketch.fromBytes(withLevelCount(3)).rank(2.5) == 2)
+    val b = ReqSketch(0.1, 0.1, seed = 19).bufferCapacity
+    for (bad <- Seq(-1, Int.MinValue, b + 1, Int.MaxValue))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(withLevelCount(bad)))
+  }
+
+  test("truncated bytes fail with an IOException") {
+    val s = ReqSketch(0.05, 0.1, seed = 20)
+    s.updateAll(Workloads.uniform(50000, 21))
+    val bytes = ReqSketch.toBytes(s)
+    for (cut <- Seq(0, 16, bytes.length / 2, bytes.length - 1))
+      intercept[java.io.IOException](ReqSketch.fromBytes(bytes.take(cut)))
+  }
 }
