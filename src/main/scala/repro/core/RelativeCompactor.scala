@@ -1,5 +1,7 @@
 package repro.core
 
+import java.io.{EOFException, InvalidObjectException}
+import java.nio.ByteBuffer
 import scala.collection.immutable.ArraySeq
 
 /** One level of the REQ sketch: the relative-compactor of Algorithm 1.
@@ -29,22 +31,22 @@ import scala.collection.immutable.ArraySeq
   * supplied by the caller so the sketch owns a single RNG stream.
   */
 final class RelativeCompactor(
-    var k: Int,
-    var numSections: Int
+    @transient var k: Int,
+    @transient var numSections: Int
 ) extends Serializable {
 
   require(k >= 2 && k % 2 == 0, s"section size must be even >= 2, got $k")
   require(numSections >= 2, s"need >= 2 sections, got $numSections")
 
   /** Items: `buf(0 until sorted)` is sorted, `buf(sorted until len)` is not.
-    * `len` is serialized as a field; `writeObject` writes the items.
+    * Java serialization writes the level record instead of these fields.
     */
   @transient private var buf: Array[Double] = Array.emptyDoubleArray
-  private var len: Int = 0
+  @transient private var len: Int = 0
   @transient private var sorted: Int = 0
 
   /** Compaction-schedule state C (Algorithm 1 line 3). */
-  var state: Long = 0L
+  @transient var state: Long = 0L
 
   /** Buffer capacity B = 2·k·numSections. */
   def capacity: Int = 2 * k * numSections
@@ -165,30 +167,100 @@ final class RelativeCompactor(
   /** Combine schedule states by bitwise OR (Algorithm 4 line 11). */
   def absorbState(otherState: Long): Unit = state |= otherState
 
-  /** Writes the fields (k, numSections, C and the item count), then the
-    * items: no spare capacity and no sort order.
+  // ------------------------------------------------------------ level record
+  //
+  // The one on-wire definition of a level, used by `ReqSketch.toBytes` and by
+  // Java serialization of a compactor: `k`, `size`, `numSections` (int32),
+  // `C` (int64), then `size` big-endian doubles written as one sorted run.
+
+  /** Bytes `writeRecord` writes. */
+  def recordBytes: Int = RelativeCompactor.RecordHeaderBytes + 8 * len
+
+  /** Writes the level record. The pending tail is sorted first: that is the
+    * sort the next compaction would do, so the level's future is unchanged
+    * and a reader never re-sorts what was sorted here.
     */
-  private def writeObject(out: java.io.ObjectOutputStream): Unit = {
-    out.defaultWriteObject()
-    var i = 0
-    while (i < len) { out.writeDouble(buf(i)); i += 1 }
+  def writeRecord(out: ByteBuffer): Unit = {
+    sortTail()
+    out.putInt(k).putInt(len).putInt(numSections).putLong(state)
+    out.asDoubleBuffer().put(buf, 0, len)
+    out.position(out.position() + 8 * len)
   }
 
-  /** Reads what `writeObject` wrote. The items are taken as unsorted. Invalid
-    * parameters or an item count outside `[0, B]` mean foreign bytes; they
-    * are rejected before any item is allocated or read.
+  /** Reads a record's fixed part into this level and returns its item count.
+    * Invalid parameters or an item count outside `[0, B]` mean foreign bytes;
+    * they are rejected before any item is allocated or read.
     */
+  private def readRecordHeader(in: ByteBuffer): Int = {
+    val (newK, size, sections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
+    if (newK < 2 || newK % 2 != 0 || sections < 2)
+      throw new InvalidObjectException(s"invalid compactor parameters k=$newK numSections=$sections")
+    val maxSize = math.min(2L * newK * sections, RelativeCompactor.MaxItems)
+    if (size < 0 || size > maxSize)
+      throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
+    k = newK
+    numSections = sections
+    state = c
+    size
+  }
+
+  /** Reads `size` items. The sorted prefix is re-derived by one scan, never
+    * taken from the bytes, so an unsorted record still compacts correctly.
+    */
+  private def readItems(in: ByteBuffer, size: Int): Unit = {
+    buf = new Array[Double](size)
+    in.asDoubleBuffer().get(buf)
+    in.position(in.position() + 8 * size)
+    len = size
+    var i = math.min(1, size)
+    while (i < size && java.lang.Double.compare(buf(i - 1), buf(i)) <= 0) i += 1
+    sorted = i
+  }
+
+  /** Replaces this level with the record read from `in`. */
+  private def readRecord(in: ByteBuffer): Unit = {
+    RelativeCompactor.need(in, RelativeCompactor.RecordHeaderBytes)
+    val size = readRecordHeader(in)
+    RelativeCompactor.need(in, 8L * size)
+    readItems(in, size)
+  }
+
+  private def writeObject(out: java.io.ObjectOutputStream): Unit = {
+    out.defaultWriteObject()
+    val record = ByteBuffer.allocate(recordBytes)
+    writeRecord(record)
+    out.write(record.array())
+  }
+
   private def readObject(in: java.io.ObjectInputStream): Unit = {
     in.defaultReadObject()
-    if (k < 2 || k % 2 != 0 || numSections < 2)
-      throw new java.io.InvalidObjectException(
-        s"invalid compactor parameters k=$k numSections=$numSections")
-    if (len < 0 || len.toLong > 2L * k * numSections)
-      throw new java.io.InvalidObjectException(
-        s"compactor item count $len outside [0, ${2L * k * numSections}]")
-    buf = new Array[Double](len)
-    var i = 0
-    while (i < len) { buf(i) = in.readDouble(); i += 1 }
-    sorted = 0
+    def read(bytes: Int): ByteBuffer = {
+      val b = new Array[Byte](bytes)
+      in.readFully(b)
+      ByteBuffer.wrap(b)
+    }
+    val size = readRecordHeader(read(RelativeCompactor.RecordHeaderBytes))
+    readItems(read(8 * size), size)
   }
+}
+
+object RelativeCompactor {
+
+  /** Bytes of a level record before its items. */
+  val RecordHeaderBytes: Int = 20
+
+  /** The most items a level record may hold: their bytes fit one array. */
+  private val MaxItems: Int = Int.MaxValue / 8
+
+  /** Reads one level record (see `writeRecord`). */
+  def read(in: ByteBuffer): RelativeCompactor = {
+    val c = new RelativeCompactor(2, 2)
+    c.readRecord(in)
+    c
+  }
+
+  /** Fails with an `EOFException` unless `in` holds `bytes` more bytes. */
+  private[core] def need(in: ByteBuffer, bytes: Long): Unit =
+    if (in.remaining < bytes)
+      throw new EOFException(s"need $bytes more bytes, ${in.remaining} left")
 }

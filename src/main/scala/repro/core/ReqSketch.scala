@@ -1,5 +1,7 @@
 package repro.core
 
+import java.io.{InvalidObjectException, StreamCorruptedException}
+import java.nio.ByteBuffer
 import scala.collection.mutable.ArrayBuffer
 
 /** The Relative-Error Quantiles (REQ) sketch — Algorithms 2–4 of
@@ -16,10 +18,11 @@ import scala.collection.mutable.ArrayBuffer
   * `Pr[|rank(y) − R(y)| ≥ ε·R(y)] < δ`, storing
   * `O(ε⁻¹·log^1.5(εn)·√log(1/δ))` items.
   *
-  * Instances are mutable and `Serializable` (Java serialization) so they can
-  * serve as Spark aggregation buffers. The RNG is transient: a deserialized
-  * copy lazily re-creates it (from `seed`, or entropy when `seed == 0`).
-  * Not thread-safe.
+  * Instances are mutable. `ReqSketch.toBytes`/`fromBytes` define a versioned
+  * binary wire format; Java serialization (Spark aggregation buffers and task
+  * results) writes the same bytes through a proxy, never the fields. A
+  * decoded sketch re-creates its RNG lazily (from `seed`, or entropy when
+  * `seed == 0`). Not thread-safe.
   *
   * @param eps     target relative error ε ∈ (0, 1]
   * @param delta   target failure probability δ ∈ (0, 0.5]
@@ -48,7 +51,7 @@ final class ReqSketch(
 
   private val levels = ArrayBuffer(new RelativeCompactor(k, sections))
 
-  @transient private var _rng: java.util.Random = _
+  private var _rng: java.util.Random = _
 
   private def rng: java.util.Random = {
     // Scramble the seed (SplitMix64 finalizer): java.util.Random's first
@@ -165,7 +168,9 @@ final class ReqSketch(
   def merge(other: ReqSketch): ReqSketch = {
     require(!(other eq this), "cannot merge a sketch with itself")
     require(other.profile == profile && other.eps == eps && other.delta == delta,
-      "can only merge sketches with identical (eps, delta, profile)")
+      s"can only merge sketches with identical (eps, delta, profile): " +
+        s"this has (eps=$eps, delta=$delta, $profile), other has " +
+        s"(eps=${other.eps}, delta=${other.delta}, ${other.profile})")
     val (tgt, src) = if (this.levels.size >= other.levels.size) (this, other) else (other, this)
     tgt.count += src.count
     if (tgt.bound < tgt.count) {                 // Algorithm 4 lines 2–5
@@ -238,6 +243,11 @@ final class ReqSketch(
 
   private def square(x: Long): Long =
     if (x >= 3037000499L) Long.MaxValue else x * x
+
+  private def writeReplace(): AnyRef = new ReqSketch.Wire(ReqSketch.toBytes(this))
+
+  private def readObject(in: java.io.ObjectInputStream): Unit =
+    throw new InvalidObjectException("a ReqSketch is deserialized through ReqSketch.Wire")
 }
 
 object ReqSketch {
@@ -259,19 +269,89 @@ object ReqSketch {
             seed: Long = 0L): ReqSketch =
     new ReqSketch(eps, delta, profile, seed)
 
-  /** Java-serialize (the wire format used by the Spark UDAF output). */
+  // ------------------------------------------------------------ wire format
+  //
+  // Big-endian; DESIGN.md has the byte layout. Header: magic, version, flags
+  // (must be 0), ε, δ, profile tag and FixedK k, seed, n, N, k, sections and
+  // the level count; then one level record per level
+  // (`RelativeCompactor.writeRecord`), each a sorted run.
+
+  private val Magic = 0x52455153 // "REQS"
+  private val Version: Byte = 1
+  private val HeaderBytes = 63
+  private val MaxLevels = 64
+
+  /** Encodes the sketch in the versioned wire format. Sorts each level's
+    * pending tail first, which leaves every later answer and compaction as
+    * it would have been.
+    */
   def toBytes(s: ReqSketch): Array[Byte] = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(s)
-    oos.close()
-    bos.toByteArray
+    val out = ByteBuffer.allocate(HeaderBytes + s.levels.iterator.map(_.recordBytes).sum)
+    val (tag, fixedK) = s.profile match {
+      case Practical => (0, 0)
+      case Theory    => (1, 0)
+      case FixedK(k) => (2, k)
+    }
+    out.putInt(Magic).put(Version).put(0.toByte).putDouble(s.eps).putDouble(s.delta)
+      .put(tag.toByte).putInt(fixedK).putLong(s.seed).putLong(s.count).putLong(s.bound)
+      .putInt(s.k).putInt(s.sections).putInt(s.levels.size)
+    s.levels.foreach(_.writeRecord(out))
+    out.array()
   }
 
+  /** Decodes `toBytes` output. Foreign bytes fail with an `IOException`:
+    * `EOFException` when truncated, `StreamCorruptedException` for a wrong
+    * magic or trailing bytes, `InvalidObjectException` for an unknown
+    * version, flags or profile, or invalid parameters, counts or levels,
+    * each raised before anything is allocated for it.
+    */
   def fromBytes(b: Array[Byte]): ReqSketch = {
-    val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(b))
-    val s = ois.readObject().asInstanceOf[ReqSketch]
-    ois.close()
+    val in = ByteBuffer.wrap(b)
+    RelativeCompactor.need(in, HeaderBytes)
+    if (in.getInt() != Magic) throw new StreamCorruptedException("not a REQ sketch: wrong magic")
+    val version = in.get()
+    if (version != Version)
+      throw new InvalidObjectException(s"unsupported REQ sketch version $version (expected $Version)")
+    val flags = in.get()
+    if (flags != 0) throw new InvalidObjectException(s"unsupported REQ sketch flags $flags")
+    val (eps, delta) = (in.getDouble(), in.getDouble())
+    if (!(eps > 0 && eps <= 1 && delta > 0 && delta <= 0.5))
+      throw new InvalidObjectException(s"invalid eps=$eps delta=$delta")
+    val (tag, fixedK) = (in.get().toInt, in.getInt())
+    val profile = (tag, fixedK) match {
+      case (0, 0) => Practical
+      case (1, 0) => Theory
+      case (2, k) if k >= 2 && k % 2 == 0 => FixedK(k)
+      case _ => throw new InvalidObjectException(s"unknown profile tag $tag with k=$fixedK")
+    }
+    val (seed, n, bound) = (in.getLong(), in.getLong(), in.getLong())
+    if (n < 0 || bound < n) throw new InvalidObjectException(s"invalid n=$n N=$bound")
+    val (k, sections, numLevels) = (in.getInt(), in.getInt(), in.getInt())
+    if (numLevels < 1 || numLevels > MaxLevels)
+      throw new InvalidObjectException(s"level count $numLevels outside [1, $MaxLevels]")
+    val s = new ReqSketch(eps, delta, profile, seed)
+    s.count = n
+    s.bound = bound
+    s.k = k
+    s.sections = sections
+    s.levels.clear()
+    for (_ <- 0 until numLevels) {
+      val level = RelativeCompactor.read(in)
+      if (level.k != k || level.numSections != sections)
+        throw new InvalidObjectException(s"level parameters (${level.k}, ${level.numSections})" +
+          s" differ from the sketch's ($k, $sections)")
+      s.levels += level
+    }
+    if (in.hasRemaining)
+      throw new StreamCorruptedException(s"${in.remaining} trailing bytes after a REQ sketch")
     s
+  }
+
+  /** What Java serialization writes for a sketch (Spark aggregation buffers,
+    * task results): its wire bytes, decoded by `fromBytes` on the way in.
+    */
+  @SerialVersionUID(1L)
+  private final class Wire(bytes: Array[Byte]) extends Serializable {
+    private def readResolve(): AnyRef = fromBytes(bytes)
   }
 }

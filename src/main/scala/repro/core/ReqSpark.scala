@@ -19,8 +19,12 @@ import org.apache.spark.sql.functions.{col, udaf, udf}
   *     (the Appendix C setting) and gives each partition an independent RNG
   *     seed.
   *
-  * The UDAF's output is the Java-serialized sketch (`Array[Byte]`); use
-  * [[ReqSpark.quantileUdf]] / [[ReqSketch.fromBytes]] to query it.
+  * The UDAF's output is the sketch in its versioned binary wire format
+  * ([[ReqSketch.toBytes]]: a header, then each level as one sorted run of
+  * big-endian doubles, about 8 bytes per stored item); use
+  * [[ReqSpark.quantileUdf]] / [[ReqSketch.fromBytes]] to query it. The
+  * aggregation buffers and `treeReduce` task results are Java-serialized,
+  * which for a sketch writes those same bytes.
   */
 final class ReqSketchAggregator(
     eps: Double,
@@ -76,7 +80,8 @@ object ReqSpark {
       it.foreach(s.update)
       Iterator.single(s)
     }
-    if (sketches.isEmpty()) ReqSketch(eps, delta, profile, seed)
+    // Every partition emits exactly one sketch, so this needs no Spark job.
+    if (sketches.getNumPartitions == 0) ReqSketch(eps, delta, profile, seed)
     else sketches.treeReduce((a, b) => a.merge(b), math.max(1, depth))
   }
 

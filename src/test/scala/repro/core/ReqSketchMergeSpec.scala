@@ -40,6 +40,13 @@ class ReqSketchMergeSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](c.merge(ReqSketch(0.05, 0.1, Practical, seed = 2)))
   }
 
+  test("the mismatch message names both sides' eps, delta and profile") {
+    val e = intercept[IllegalArgumentException](
+      ReqSketch(0.05, 0.1, Practical, seed = 1).merge(ReqSketch(0.1, 0.2, FixedK(12), seed = 2)))
+    assert(e.getMessage.contains("(eps=0.05, delta=0.1, Practical)"), e.getMessage)
+    assert(e.getMessage.contains("(eps=0.1, delta=0.2, FixedK(12))"), e.getMessage)
+  }
+
   test("merge result bound covers the combined n") {
     val a = sketchOf(Workloads.uniform(100000, 9), seed = 10)
     val b = sketchOf(Workloads.uniform(100000, 11), seed = 12)

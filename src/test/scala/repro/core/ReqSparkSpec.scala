@@ -64,6 +64,31 @@ class ReqSparkSpec extends SparkSpec {
     assert(s.n == 0)
   }
 
+  test("sketchColumn with more partitions than rows merges empty partition sketches") {
+    val df = spark.range(0, 5, 1, numPartitions = 16).selectExpr("cast(id as double) as x")
+    val s = ReqSpark.sketchColumn(df, "x", 0.1, 0.1, Practical, seed = 22)
+    assert(s.n == 5)
+    assert((0 to 4).forall(i => s.rank(i.toDouble) == i + 1))
+  }
+
+  test("one sketchColumn call runs exactly one Spark job") {
+    val sc = spark.sparkContext
+    val df = SynthData.uniformKeys(spark, rows = 20000, nKeys = 100, seed = 23)
+    def jobs(group: String): Int = sc.statusTracker.getJobIdsForGroup(group).length
+    def inGroup[A](group: String)(f: => A): A = {
+      sc.setJobGroup(group, group)
+      try f finally sc.clearJobGroup()
+    }
+    inGroup("req-sketchColumn")(ReqSpark.sketchColumn(df, "v", eps, 0.1, Practical, seed = 24))
+    // The status tracker learns of jobs asynchronously but in order: once a
+    // job started after the call is visible, every job of the call is too.
+    inGroup("req-sketchColumn-marker")(sc.parallelize(Seq(1), 1).count())
+    val deadline = System.nanoTime() + 30L * 1000000000L
+    while (jobs("req-sketchColumn-marker") == 0 && System.nanoTime() < deadline) Thread.sleep(10)
+    assert(jobs("req-sketchColumn-marker") == 1)
+    assert(jobs("req-sketchColumn") == 1)
+  }
+
   test("mixSeed never returns 0 and spreads partition ids") {
     val seeds = (0 until 1000).map(ReqSpark.mixSeed(42L, _))
     assert(seeds.forall(_ != 0))

@@ -3,8 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Workloads
 
-/** Java-serialization round trips — the wire format for Spark shuffles and
-  * the UDAF output.
+/** The versioned wire format (`toBytes`/`fromBytes`): round trips, the
+  * byte layout, rejection of foreign bytes, and Java serialization through
+  * the same bytes (Spark buffers, task results and the UDAF output).
   */
 class SerializationSpec extends AnyFunSuite {
 
@@ -108,5 +109,158 @@ class SerializationSpec extends AnyFunSuite {
     val bytes = ReqSketch.toBytes(s)
     for (cut <- Seq(0, 16, bytes.length / 2, bytes.length - 1))
       intercept[java.io.IOException](ReqSketch.fromBytes(bytes.take(cut)))
+  }
+
+  // ------------------------------------------------------------ wire format
+
+  private def sha256(b: Array[Byte]): String =
+    java.security.MessageDigest.getInstance("SHA-256").digest(b).map(x => f"${x & 0xff}%02x").mkString
+
+  /** Bytes of a fixed sketch with the header field at `offset` (see the
+    * layout table in DESIGN.md) overwritten by `patch`.
+    */
+  private def patched(offset: Int)(patch: java.nio.ByteBuffer => Any): Array[Byte] = {
+    val s = ReqSketch(0.1, 0.1, seed = 22)
+    s.updateAll(Workloads.uniform(5000, 23))
+    val bytes = ReqSketch.toBytes(s)
+    patch(java.nio.ByteBuffer.wrap(bytes).position(offset))
+    bytes
+  }
+
+  private val goldenBytes = Seq[(ParamProfile, Double, Int, String)](
+    (Practical, 0.01, 195851, "f651d44d0da4c05c4c7263673bb572c6b2280303a6494b832f0996bc2a0195c6"),
+    (Theory, 0.05, 269695, "e48600865c507cf3ffd660ef1e51ffb10abc88809289b33559dfed346ece7434"),
+    (FixedK(12), 0.01, 30991, "7a8379d977d394aa091c96ccd32027873d99ec131512cf405db915f9607dca7b"))
+
+  for ((profile, eps, length, digest) <- goldenBytes) {
+    test(s"golden bytes: SHA-256 of toBytes for a fixed $profile sketch") {
+      val s = ReqSketch(eps, 0.05, profile, seed = 24)
+      s.updateAll(Workloads.uniform(100000, 25))
+      val bytes = ReqSketch.toBytes(s)
+      assert(bytes.length == length && sha256(bytes) == digest)
+      assert(ReqSketch.toBytes(ReqSketch.fromBytes(bytes)).sameElements(bytes))
+    }
+  }
+
+  test("a wrong magic fails with a StreamCorruptedException") {
+    intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(patched(0)(_.putInt(0x52455154))))
+    val foreign = new java.io.ByteArrayOutputStream()
+    new java.io.ObjectOutputStream(foreign).writeObject(Array.fill(64)(1.0))
+    intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(foreign.toByteArray))
+  }
+
+  test("an unknown version, flags or profile tag fails with an InvalidObjectException") {
+    assert(ReqSketch.fromBytes(patched(4)(_.put(1.toByte))).n == 5000)
+    for (bytes <- Seq(patched(4)(_.put(2.toByte)), patched(4)(_.put(0.toByte)),
+                      patched(5)(_.put(1.toByte)), patched(5)(_.put(0x80.toByte)),
+                      patched(22)(_.put(3.toByte)), patched(22)(_.put(-1.toByte)),
+                      patched(23)(_.putInt(12))))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+  }
+
+  test("a level count outside [1, 64] fails with an InvalidObjectException") {
+    for (bad <- Seq(0, -1, 65, Int.MaxValue, Int.MinValue))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(patched(59)(_.putInt(bad))))
+  }
+
+  test("invalid eps, delta, n or N fail with an InvalidObjectException") {
+    for (bytes <- Seq(patched(6)(_.putDouble(0.0)), patched(6)(_.putDouble(Double.NaN)),
+                      patched(14)(_.putDouble(0.6)), patched(35)(_.putLong(-1L)),
+                      patched(43)(_.putLong(4999L))))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+  }
+
+  test("trailing bytes are rejected") {
+    val s = ReqSketch(0.1, 0.1, seed = 26)
+    s.updateAll(Workloads.uniform(5000, 27))
+    val bytes = ReqSketch.toBytes(s)
+    for (extra <- Seq(1, 8, 1000))
+      intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(bytes ++ new Array[Byte](extra)))
+  }
+
+  test("each level goes on the wire as one sorted run") {
+    val s = ReqSketch(0.05, 0.1, seed = 28)
+    s.updateAll(Workloads.uniform(200000, 29))
+    val in = java.nio.ByteBuffer.wrap(ReqSketch.toBytes(s)).position(63)
+    for (h <- 0 to s.height) {
+      val (k, size, sections, state) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
+      assert(k == s.sectionSize && size == s.levelSizes(h) && 2 * k * sections == s.bufferCapacity)
+      assert(state == s.levelState(h))
+      val items = Array.fill(size)(in.getDouble())
+      assert(items.sameElements(items.sorted), s"level $h")
+    }
+    assert(!in.hasRemaining)
+  }
+
+  /** Full state: parameters, levels, schedule states and the coreset. */
+  private def state(s: ReqSketch) =
+    (s.n, s.nBound, s.sectionSize, s.bufferCapacity, s.levelSizes,
+     (0 to s.height).map(s.levelState), s.coreset.toSeq.map { case (x, w) =>
+       (java.lang.Double.doubleToRawLongBits(x), w) })
+
+  test("a level written unsorted decodes and compacts like a full sort") {
+    val s = ReqSketch(0.1, 0.1, seed = 30)
+    s.updateAll(Workloads.uniform(300, 31).map(x => math.floor(x * 40) - 20.0) ++
+      Seq(-0.0, 0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity))
+    assert(s.height == 0)
+    val sorted = ReqSketch.toBytes(s)
+    val itemsAt = sorted.length - 8 * s.itemsStored
+    val items = java.nio.ByteBuffer.wrap(sorted, itemsAt, 8 * s.itemsStored).asDoubleBuffer()
+    val xs = Array.tabulate(s.itemsStored)(items.get)
+    val r = new scala.util.Random(32)
+    // Fully shuffled, and a sorted prefix followed by a shuffled tail.
+    for (order <- Seq(r.shuffle(xs.toSeq), xs.take(150).toSeq ++ r.shuffle(xs.drop(150).toSeq))) {
+      val unsorted = sorted.clone()
+      val out = java.nio.ByteBuffer.wrap(unsorted, itemsAt, 8 * xs.length).asDoubleBuffer()
+      order.foreach(out.put)
+      val (reference, decoded) = (ReqSketch.fromBytes(sorted), ReqSketch.fromBytes(unsorted))
+      assert(state(decoded) == state(reference))
+      val more = Workloads.uniform(50000, 33)
+      reference.updateAll(more)
+      decoded.updateAll(more)
+      assert(decoded.height > 0)
+      assert(state(decoded) == state(reference))
+    }
+  }
+
+  test("Java serialization goes through the wire-format proxy") {
+    val s = ReqSketch(0.05, 0.1, FixedK(12), seed = 34)
+    s.updateAll(Workloads.uniform(100000, 35))
+    val wire = ReqSketch.toBytes(s)
+    val bos = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bos)
+    oos.writeObject(s)
+    oos.close()
+    val serial = bos.toByteArray
+    assert(serial.length <= wire.length + 256, s"serialized=${serial.length} wire=${wire.length}")
+    assert(serial.indexOfSlice(wire) >= 0)
+    assert(serial.indexOfSlice("ReqSketch$Wire".getBytes("UTF-8")) >= 0)
+    assert(serial.indexOfSlice("RelativeCompactor".getBytes("UTF-8")) < 0)
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(serial))
+      .readObject().asInstanceOf[ReqSketch]
+    assert(state(back) == state(s))
+  }
+
+  test("toBytes during a stream leaves the sketch's state as without it") {
+    def stream(seed: Long): Array[Double] = {
+      val r = new java.util.Random(seed)
+      Array.fill(1 << 20)(r.nextInt(8) match {
+        case 0 => -0.0
+        case 1 => 0.0
+        case 2 => math.floor(r.nextDouble() * 64)
+        case _ => r.nextDouble()
+      })
+    }
+    for ((profile, eps) <- Seq(Practical -> 0.01, Theory -> 0.05, FixedK(12) -> 0.01)) {
+      val data = stream(36)
+      val (plain, written) = (ReqSketch(eps, 0.05, profile, seed = 37), ReqSketch(eps, 0.05, profile, seed = 37))
+      plain.updateAll(data)
+      data.grouped(1 << 16).foreach { chunk =>
+        written.updateAll(chunk)
+        ReqSketch.toBytes(written)
+      }
+      assert(state(written) == state(plain), s"$profile")
+      assert(ReqSketch.toBytes(written).sameElements(ReqSketch.toBytes(plain)), s"$profile")
+    }
   }
 }
