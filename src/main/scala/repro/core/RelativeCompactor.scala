@@ -24,11 +24,13 @@ import scala.collection.immutable.ArraySeq
   *
   * Items live in a growable `Array[Double]`: a sorted prefix followed by the
   * unsorted tail inserted since the last compaction. A compaction sorts only
-  * the tail and merges it into the prefix from the back, in the total order
-  * of `java.util.Arrays.sort` (`java.lang.Double.compare`: −0.0 < 0.0, NaN
-  * last), so the result equals a full sort of the buffer; the survivors are
-  * then the sorted prefix. The coin that picks odd/even survivors is
-  * supplied by the caller so the sketch owns a single RNG stream.
+  * the tail, by a kernel chosen from its shape (already sorted, a few sorted
+  * runs, or random), and merges it into the prefix from the back, in the
+  * total order of `java.util.Arrays.sort` (`java.lang.Double.compare`:
+  * −0.0 < 0.0, NaN last), so the result equals a full sort of the buffer;
+  * the survivors are then the sorted prefix. The coin that picks odd/even
+  * survivors is supplied by the caller so the sketch owns a single RNG
+  * stream.
   */
 final class RelativeCompactor(
     @transient var k: Int,
@@ -131,25 +133,105 @@ final class RelativeCompactor(
     out
   }
 
-  /** Sort the tail and merge it into the sorted prefix from the back. */
+  /** Sorts the tail and merges it into the sorted prefix from the back. */
   private def sortTail(): Unit = {
-    if (sorted == len) return
-    java.util.Arrays.sort(buf, sorted, len)
-    if (sorted > 0 && java.lang.Double.compare(buf(sorted - 1), buf(sorted)) > 0) {
-      val tail = java.util.Arrays.copyOfRange(buf, sorted, len)
-      var i = sorted - 1
-      var j = tail.length - 1
-      var w = len - 1
-      while (j >= 0) {
-        if (i >= 0 && java.lang.Double.compare(buf(i), tail(j)) > 0) {
-          buf(w) = buf(i); i -= 1
-        } else {
-          buf(w) = tail(j); j -= 1
+    val n = len - sorted
+    if (n == 0) return
+    val s = RelativeCompactor.scratch.get()
+    s.reserve(n)
+    val keys = sortedTailKeys(s, n)
+    if (sorted >= RelativeCompactor.GallopRatio * n) gallopTail(keys) else mergeTail(keys)
+    sorted = len
+  }
+
+  /** The tail in `Double.compare` order, as keys (`RelativeCompactor.key`)
+    * in one of the scratch arrays. One scan encodes the tail into `s.a` and
+    * counts its runs: one run is already sorted, up to `MaxRuns` runs are
+    * merged pairwise, more are radix-sorted. A short tail, or one holding a
+    * NaN (whose key order differs from `Arrays.sort`'s), is sorted by
+    * `Arrays.sort` instead.
+    */
+  private def sortedTailKeys(s: RelativeCompactor.Scratch, n: Int): Array[Long] = {
+    import RelativeCompactor._
+    val a = s.a
+    var runs = 1
+    var nan = false
+    if (n >= SmallTail) {
+      var prev = 0L // the least key
+      s.runStarts(0) = 0
+      var i = 0
+      while (i < n) {
+        val x = buf(sorted + i)
+        if (x != x) nan = true
+        val k = key(x)
+        if (java.lang.Long.compareUnsigned(prev, k) > 0) {
+          if (runs < MaxRuns) s.runStarts(runs) = i
+          runs += 1
         }
-        w -= 1
+        a(i) = k
+        prev = k
+        i += 1
       }
     }
-    sorted = len
+    if (n < SmallTail || nan) {
+      java.util.Arrays.sort(buf, sorted, len)
+      var i = 0
+      while (i < n) { a(i) = key(buf(sorted + i)); i += 1 }
+      a
+    } else if (runs == 1) a
+    else if (runs <= MaxRuns) mergeRuns(s, n, runs)
+    else radixSort(s, n)
+  }
+
+  /** Merges the tail from the back into the sorted prefix `buf(0 until
+    * sorted)`, one item at a time; `t(0 until len - sorted)` holds the
+    * tail's keys in order. Ties keep prefix items below tail items.
+    */
+  private def mergeTail(t: Array[Long]): Unit = {
+    var i = sorted - 1
+    var j = len - sorted - 1
+    var w = len - 1
+    while (j >= 0) {
+      val x = RelativeCompactor.item(t(j))
+      if (i >= 0 && java.lang.Double.compare(buf(i), x) > 0) { buf(w) = buf(i); i -= 1 }
+      else { buf(w) = x; j -= 1 }
+      w -= 1
+    }
+  }
+
+  /** `mergeTail` for a prefix much longer than the tail: for each tail item,
+    * from the top down, a gallop then a binary search finds the prefix items
+    * greater than it, which move up as one block.
+    */
+  private def gallopTail(t: Array[Long]): Unit = {
+    var i = sorted
+    var w = len
+    var j = len - sorted - 1
+    while (j >= 0 && i > 0) {
+      val x = RelativeCompactor.item(t(j))
+      if (java.lang.Double.compare(buf(i - 1), x) > 0) {
+        var hi = i - 1 // buf(hi) > x; every index <= lo holds an item <= x
+        var step = 1
+        var lo = hi - step
+        while (lo >= 0 && java.lang.Double.compare(buf(lo), x) > 0) {
+          hi = lo
+          step <<= 1
+          lo = hi - step
+        }
+        lo = math.max(lo, -1)
+        while (hi - lo > 1) {
+          val m = (lo + hi) >>> 1
+          if (java.lang.Double.compare(buf(m), x) > 0) hi = m else lo = m
+        }
+        System.arraycopy(buf, hi, buf, w - (i - hi), i - hi)
+        w -= i - hi
+        i = hi
+      }
+      w -= 1
+      buf(w) = x
+      j -= 1
+    }
+    while (j >= 0) { buf(j) = RelativeCompactor.item(t(j)); j -= 1 }
   }
 
   private def grow(minLength: Int): Unit =
@@ -245,6 +327,136 @@ final class RelativeCompactor(
 }
 
 object RelativeCompactor {
+
+  /** Tails shorter than this go to `Arrays.sort`. */
+  private val SmallTail = 64
+
+  /** A prefix at least this many times longer than the tail is merged by
+    * `gallopTail`: its blocks of greater items are then long enough that a
+    * search and one `System.arraycopy` per block beat stepping through them
+    * (level 0 while streaming); shorter prefixes, as when `merge` inserts a
+    * whole level, are merged item by item.
+    */
+  private val GallopRatio = 2
+
+  /** The most runs a tail may have to be merged rather than radix-sorted. */
+  private val MaxRuns = 8
+
+  /** Order-preserving key: unsigned order of keys is `Double.compare` order
+    * for every non-NaN double (−0.0 < 0.0). Bijective on bit patterns.
+    */
+  @inline private def key(x: Double): Long = {
+    val bits = java.lang.Double.doubleToRawLongBits(x)
+    bits ^ ((bits >> 63) | Long.MinValue)
+  }
+
+  /** Inverse of `key`. */
+  @inline private def item(k: Long): Double =
+    java.lang.Double.longBitsToDouble(k ^ ((~k >> 63) | Long.MinValue))
+
+  /** Per-thread sort scratch, shared by every level of every sketch the
+    * thread runs: two key arrays as long as the longest tail sorted so far,
+    * the radix histograms and the run starts.
+    */
+  private final class Scratch {
+    var a: Array[Long] = Array.emptyLongArray
+    var b: Array[Long] = Array.emptyLongArray
+    val counts = new Array[Int](8 * 256)
+    val runStarts = new Array[Int](MaxRuns + 1)
+
+    def reserve(n: Int): Unit = if (a.length < n) {
+      val size = math.max(n, math.min(2L * a.length, Int.MaxValue - 8).toInt)
+      a = new Array[Long](size)
+      b = new Array[Long](size)
+    }
+  }
+
+  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+
+  /** Merges the `runs` sorted runs of `s.a(0 until n)` (starting at
+    * `s.runStarts`) pairwise, bottom-up, between `s.a` and `s.b`. Returns
+    * the array holding the result.
+    */
+  private def mergeRuns(s: Scratch, n: Int, runs: Int): Array[Long] = {
+    val starts = s.runStarts
+    var src = s.a
+    var dst = s.b
+    var r = runs
+    while (r > 1) {
+      starts(r) = n
+      var q = 0
+      while (q < r) {
+        val lo = starts(q)
+        if (q + 1 == r) System.arraycopy(src, lo, dst, lo, n - lo)
+        else {
+          val mid = starts(q + 1)
+          val hi = starts(q + 2)
+          var i = lo
+          var j = mid
+          var w = lo
+          while (i < mid && j < hi) {
+            if (java.lang.Long.compareUnsigned(src(i), src(j)) <= 0) { dst(w) = src(i); i += 1 }
+            else { dst(w) = src(j); j += 1 }
+            w += 1
+          }
+          System.arraycopy(src, i, dst, w, mid - i)
+          System.arraycopy(src, j, dst, w + mid - i, hi - j)
+        }
+        starts(q / 2) = lo
+        q += 2
+      }
+      r = (r + 1) / 2
+      val t = src; src = dst; dst = t
+    }
+    src
+  }
+
+  /** LSD radix sort of the keys `s.a(0 until n)` on 8-bit digits, between
+    * `s.a` and `s.b`: one pass builds all eight histograms, and a digit on
+    * which every key agrees is skipped. Returns the array holding the result.
+    */
+  private def radixSort(s: Scratch, n: Int): Array[Long] = {
+    val counts = s.counts
+    java.util.Arrays.fill(counts, 0)
+    var src = s.a
+    var dst = s.b
+    var i = 0
+    while (i < n) {
+      val k = src(i)
+      var d = 0
+      while (d < 8) {
+        counts((d << 8) + ((k >>> (d << 3)).toInt & 0xff)) += 1
+        d += 1
+      }
+      i += 1
+    }
+    var d = 0
+    while (d < 8) {
+      val base = d << 8
+      val shift = d << 3
+      if (counts(base + ((src(0) >>> shift).toInt & 0xff)) != n) {
+        var sum = 0
+        var b = 0
+        while (b < 256) {
+          val c = counts(base + b)
+          counts(base + b) = sum
+          sum += c
+          b += 1
+        }
+        i = 0
+        while (i < n) {
+          val k = src(i)
+          val slot = base + ((k >>> shift).toInt & 0xff)
+          dst(counts(slot)) = k
+          counts(slot) += 1
+          i += 1
+        }
+        val t = src; src = dst; dst = t
+      }
+      d += 1
+    }
+    src
+  }
 
   /** Bytes of a level record before its items. */
   val RecordHeaderBytes: Int = 20

@@ -94,7 +94,9 @@ final class ReqSketch(
     w
   }
 
-  /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y stored at level h}|. */
+  /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y stored at level h}|; 0 on an
+    * empty sketch.
+    */
   def rank(y: Double): Long = {
     var r = 0L
     var h = 0
@@ -118,7 +120,7 @@ final class ReqSketch(
   }
 
   /** Approximate φ-quantile: the smallest stored item whose estimated rank
-    * is ≥ φ·n (φ ∈ (0, 1]). Undefined (NaN) on an empty sketch.
+    * is ≥ φ·n (φ ∈ (0, 1]). NaN on an empty sketch.
     */
   def quantile(phi: Double): Double = {
     require(phi > 0 && phi <= 1, s"phi must be in (0,1], got $phi")

@@ -63,7 +63,8 @@ object ReqSpark {
 
   /** Build one REQ sketch for a numeric column: one sketch per partition
     * (seeded independently), combined via a depth-`depth` tree of Algorithm-4
-    * merges. Nulls/NaNs are dropped.
+    * merges. Nulls/NaNs are dropped. The column is read as Catalyst rows
+    * (`queryExecution.toRdd`), with no conversion to `Row`.
     */
   def sketchColumn(df: DataFrame,
                    column: String,
@@ -72,12 +73,11 @@ object ReqSpark {
                    profile: ParamProfile = Practical,
                    seed: Long = 0L,
                    depth: Int = 2): ReqSketch = {
-    val rdd = df.select(col(column).cast("double")).na.drop
-      .rdd.map(_.getDouble(0)).filter(!_.isNaN)
-    val sketches = rdd.mapPartitionsWithIndex { (pid, it) =>
+    val rows = df.select(col(column).cast("double")).queryExecution.toRdd
+    val sketches = rows.mapPartitionsWithIndex { (pid, it) =>
       val s = ReqSketch(eps, delta, profile,
         if (seed == 0) 0L else mixSeed(seed, pid))
-      it.foreach(s.update)
+      it.foreach(row => if (!row.isNullAt(0)) s.update(row.getDouble(0))) // update skips NaN
       Iterator.single(s)
     }
     // Every partition emits exactly one sketch, so this needs no Spark job.

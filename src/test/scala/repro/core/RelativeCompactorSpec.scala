@@ -272,4 +272,77 @@ class RelativeCompactorSpec extends AnyFunSuite {
       }
     }
   }
+
+  // Large sections make tails of hundreds of items, so compactions reach the
+  // radix sort (random tails), the run merge (tails of a few ascending
+  // batches), both back-merges (item by item into short prefixes, galloping
+  // into long ones) and the NaN fallback. A trial holds at most one NaN bit
+  // pattern (a third hold none): `Arrays.sort` leaves NaNs with different
+  // payloads in no defined order among themselves.
+  test("sort kernels match a full sort bit for bit at large k") {
+    val signedNaN = java.lang.Double.longBitsToDouble(0xfff8000000001234L)
+    val extras = Array(java.lang.Double.MIN_VALUE, -java.lang.Double.MIN_VALUE,
+      java.lang.Double.MIN_NORMAL / 3, -1e-310, Double.MinValue, Double.MaxValue)
+    val ks = Array(32, 64, 128)
+    for (trial <- 1 to 36) {
+      val r = rng(7000L + trial)
+      val runsOnly = trial % 2 == 0
+      val nan = if (trial % 3 == 0) signedNaN else if (trial % 3 == 1) Double.NaN else 0.0
+      val items = pool.filterNot(_.isNaN) ++ extras
+      // A falling stream puts every new item below the whole sorted prefix.
+      val falling = trial % 4 == 3
+      var floor = 0.0
+      def draw(): Double =
+        if (falling) { floor -= r.nextDouble(); floor }
+        else r.nextInt(256) match {
+          case 0 => nan
+          case d if d < 128 => r.nextGaussian() * math.pow(2, r.nextInt(64) - 32)
+          case _ => items(r.nextInt(items.length))
+        }
+      var c = new RelativeCompactor(ks(trial % 3), 2 + r.nextInt(5))
+      def batch(): Array[Double] = Array.fill(1 + r.nextInt(2 * c.k))(draw())
+      var ref = Array.emptyDoubleArray
+      val (coins, refCoins) = (rng(9000L + trial), rng(9000L + trial))
+
+      def refCompact(from: Int): Array[Double] = {
+        val a = ref.clone(); java.util.Arrays.sort(a)
+        val lo = math.max(0, math.min(from, a.length))
+        if (a.length - lo <= 0) return Array.emptyDoubleArray
+        val offset = if (refCoins.nextBoolean()) 1 else 0
+        ref = a.take(lo)
+        (lo + offset until a.length by 2).map(a(_)).toArray
+      }
+
+      for (step <- 1 to 300) {
+        r.nextInt(10) match {
+          case 0 | 1 | 2 if !runsOnly =>
+            val xs = batch()
+            if (r.nextBoolean()) xs.foreach(c.insert) else c.insertAll(xs)
+            ref ++= xs
+          case 3 if !runsOnly =>
+            val xs = batch().sorted(Ordering.Double.TotalOrdering.reverse)
+            c.insertAll(xs); ref ++= xs
+          case 0 | 1 | 2 | 3 | 4 =>
+            val xs = batch(); java.util.Arrays.sort(xs)
+            c.insertAll(xs); ref ++= xs
+          case 5 | 6 if c.isAtCapacity =>
+            val from = c.capacity - c.nextCompactionSections * c.k
+            assert(bits(c.compact(coins)) == bits(refCompact(from)), s"trial $trial step $step")
+          case 7 =>
+            val expected =
+              if (ref.length > c.capacity / 2) refCompact(c.capacity / 2) else Array.emptyDoubleArray
+            assert(bits(c.specialCompact(coins)) == bits(expected), s"trial $trial step $step")
+          case 8 =>
+            c.setParams(ks(r.nextInt(3)), 2 + r.nextInt(5))
+          case 9 if c.size <= c.capacity =>
+            c = serialRoundTrip(c)
+          case _ =>
+        }
+        assert(c.size == ref.length)
+        assert(sortedBits(c.toArray) == sortedBits(ref), s"trial $trial step $step")
+        for (y <- items.take(4) :+ draw())
+          assert(c.countAtMost(y) == ref.count(_ <= y), s"trial $trial step $step y=$y")
+      }
+    }
+  }
 }
