@@ -140,7 +140,7 @@ final class RelativeCompactor(
     val s = RelativeCompactor.scratch.get()
     s.reserve(n)
     val keys = sortedTailKeys(s, n)
-    if (sorted >= RelativeCompactor.GallopRatio * n) gallopTail(keys) else mergeTail(keys)
+    mergeTail(keys)
     sorted = len
   }
 
@@ -197,41 +197,6 @@ final class RelativeCompactor(
       else { buf(w) = x; j -= 1 }
       w -= 1
     }
-  }
-
-  /** `mergeTail` for a prefix much longer than the tail: for each tail item,
-    * from the top down, a gallop then a binary search finds the prefix items
-    * greater than it, which move up as one block.
-    */
-  private def gallopTail(t: Array[Long]): Unit = {
-    var i = sorted
-    var w = len
-    var j = len - sorted - 1
-    while (j >= 0 && i > 0) {
-      val x = RelativeCompactor.item(t(j))
-      if (java.lang.Double.compare(buf(i - 1), x) > 0) {
-        var hi = i - 1 // buf(hi) > x; every index <= lo holds an item <= x
-        var step = 1
-        var lo = hi - step
-        while (lo >= 0 && java.lang.Double.compare(buf(lo), x) > 0) {
-          hi = lo
-          step <<= 1
-          lo = hi - step
-        }
-        lo = math.max(lo, -1)
-        while (hi - lo > 1) {
-          val m = (lo + hi) >>> 1
-          if (java.lang.Double.compare(buf(m), x) > 0) hi = m else lo = m
-        }
-        System.arraycopy(buf, hi, buf, w - (i - hi), i - hi)
-        w -= i - hi
-        i = hi
-      }
-      w -= 1
-      buf(w) = x
-      j -= 1
-    }
-    while (j >= 0) { buf(j) = RelativeCompactor.item(t(j)); j -= 1 }
   }
 
   private def grow(minLength: Int): Unit =
@@ -330,14 +295,6 @@ object RelativeCompactor {
 
   /** Tails shorter than this go to `Arrays.sort`. */
   private val SmallTail = 64
-
-  /** A prefix at least this many times longer than the tail is merged by
-    * `gallopTail`: its blocks of greater items are then long enough that a
-    * search and one `System.arraycopy` per block beat stepping through them
-    * (level 0 while streaming); shorter prefixes, as when `merge` inserts a
-    * whole level, are merged item by item.
-    */
-  private val GallopRatio = 2
 
   /** The most runs a tail may have to be merged rather than radix-sorted. */
   private val MaxRuns = 8

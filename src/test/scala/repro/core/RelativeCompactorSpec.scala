@@ -275,10 +275,10 @@ class RelativeCompactorSpec extends AnyFunSuite {
 
   // Large sections make tails of hundreds of items, so compactions reach the
   // radix sort (random tails), the run merge (tails of a few ascending
-  // batches), both back-merges (item by item into short prefixes, galloping
-  // into long ones) and the NaN fallback. A trial holds at most one NaN bit
-  // pattern (a third hold none): `Arrays.sort` leaves NaNs with different
-  // payloads in no defined order among themselves.
+  // batches), the back-merge into short and long prefixes and the NaN
+  // fallback. A trial holds at most one NaN bit pattern (a third hold none):
+  // `Arrays.sort` leaves NaNs with different payloads in no defined order
+  // among themselves.
   test("sort kernels match a full sort bit for bit at large k") {
     val signedNaN = java.lang.Double.longBitsToDouble(0xfff8000000001234L)
     val extras = Array(java.lang.Double.MIN_VALUE, -java.lang.Double.MIN_VALUE,
