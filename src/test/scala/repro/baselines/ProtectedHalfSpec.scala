@@ -84,4 +84,85 @@ class ProtectedHalfSpec extends AnyFunSuite {
     val (coarse, fine) = (ratio(0.1), ratio(0.02))
     assert(fine > coarse, s"ratio at eps=0.02 ($fine) not above eps=0.1 ($coarse)")
   }
+
+  // ------------------------------------------------------------ golden state
+  //
+  // Items stored, height and a digest of the rank answers for fixed seeds,
+  // recorded from the sketch's first implementation (its own boxed levels).
+  // A refactor that keeps the algorithm must reproduce them exactly.
+
+  /** SHA-256 (first 16 hex digits) of the ranks of the data values at the
+    * `rankGrid` positions.
+    */
+  private def rankDigest(s: ProtectedHalfSketch, data: Array[Double]): String = {
+    val sorted = data.sorted
+    val bb = java.nio.ByteBuffer.allocate(8 * 64)
+    Workloads.rankGrid(data.length.toLong).foreach(r => bb.putLong(s.rank(sorted((r - 1).toInt))))
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    md.update(bb.array(), 0, bb.position())
+    md.digest().take(8).map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  private val golden: Map[String, String] = Map(
+    "B=64/random/seed=1" -> "items=400 height=11 ranks=66c8d8117879a1ba",
+    "B=64/sorted/seed=1" -> "items=400 height=11 ranks=3c9b21c7bfef8345",
+    "B=64/reversed/seed=1" -> "items=400 height=11 ranks=8e67cce9415c11db",
+    "B=64/zoomin/seed=1" -> "items=400 height=11 ranks=cb03d083831626ec",
+    "B=64/merge2/seed=1" -> "items=384 height=11 ranks=f049208724f989a9",
+    "B=64/random/seed=2" -> "items=400 height=11 ranks=eaab6fb5b3307914",
+    "B=64/sorted/seed=2" -> "items=400 height=11 ranks=fb1e8c2246f6724f",
+    "B=64/reversed/seed=2" -> "items=400 height=11 ranks=8e67cce9415c11db",
+    "B=64/zoomin/seed=2" -> "items=400 height=11 ranks=8fbd6b15269b28fd",
+    "B=64/merge2/seed=2" -> "items=384 height=11 ranks=d06b70b12f45ca02",
+    "B=200/random/seed=1" -> "items=1372 height=9 ranks=7fb2a669ad9869ef",
+    "B=200/sorted/seed=1" -> "items=1372 height=9 ranks=69cd6a2a31d228c7",
+    "B=200/reversed/seed=1" -> "items=1372 height=9 ranks=8e67cce9415c11db",
+    "B=200/zoomin/seed=1" -> "items=1372 height=9 ranks=f0e40fe8ba1b9291",
+    "B=200/merge2/seed=1" -> "items=1056 height=9 ranks=7df87c85eb783a4f",
+    "B=200/random/seed=2" -> "items=1372 height=9 ranks=c85611067030a4e6",
+    "B=200/sorted/seed=2" -> "items=1372 height=9 ranks=add3dae022af8d33",
+    "B=200/reversed/seed=2" -> "items=1372 height=9 ranks=8e67cce9415c11db",
+    "B=200/zoomin/seed=2" -> "items=1372 height=9 ranks=54483960ebebdb11",
+    "B=200/merge2/seed=2" -> "items=1056 height=9 ranks=b9026f873dc54783",
+    "B=800/random/seed=1" -> "items=3872 height=7 ranks=e777249cd978252b",
+    "B=800/sorted/seed=1" -> "items=3872 height=7 ranks=0c8db56aff8608d9",
+    "B=800/reversed/seed=1" -> "items=3872 height=7 ranks=8e67cce9415c11db",
+    "B=800/zoomin/seed=1" -> "items=3872 height=7 ranks=e3fea66d7915796d",
+    "B=800/merge2/seed=1" -> "items=3427 height=7 ranks=cf41639535c97214",
+    "B=800/random/seed=2" -> "items=3872 height=7 ranks=5ade3cc80f4eebfb",
+    "B=800/sorted/seed=2" -> "items=3872 height=7 ranks=0c8db56aff8608d9",
+    "B=800/reversed/seed=2" -> "items=3872 height=7 ranks=8e67cce9415c11db",
+    "B=800/zoomin/seed=2" -> "items=3872 height=7 ranks=9fa61bbb22117bdc",
+    "B=800/merge2/seed=2" -> "items=3427 height=7 ranks=983ebf0cf2e2c0ee",
+    "B=1252/random/seed=1" -> "items=5559 height=7 ranks=8e2580fc84cb8273",
+    "B=1252/sorted/seed=1" -> "items=5559 height=7 ranks=80e3109c263423b3",
+    "B=1252/reversed/seed=1" -> "items=5559 height=7 ranks=8e67cce9415c11db",
+    "B=1252/zoomin/seed=1" -> "items=5559 height=7 ranks=e84efa70b13c15c5",
+    "B=1252/merge2/seed=1" -> "items=4785 height=7 ranks=bb2864beb60215fd",
+    "B=1252/random/seed=2" -> "items=5559 height=7 ranks=1f72b3d355ad3c46",
+    "B=1252/sorted/seed=2" -> "items=5559 height=7 ranks=9001966869a3c830",
+    "B=1252/reversed/seed=2" -> "items=5559 height=7 ranks=8e67cce9415c11db",
+    "B=1252/zoomin/seed=2" -> "items=5559 height=7 ranks=e16a71ac72ae41ad",
+    "B=1252/merge2/seed=2" -> "items=4785 height=7 ranks=24d109f23d13d33e")
+
+  for (b <- Seq(64, 200, 800, 1252); seed <- 1 to 2; mode <- Workloads.orders :+ "merge2") {
+    val name = s"B=$b/$mode/seed=$seed"
+    test(s"golden sketch state: $name") {
+      val base = Workloads.uniform(1 << 17, 100L + seed)
+      val (s, data) = mode match {
+        case "merge2" =>
+          val (l, r) = base.splitAt(base.length / 2)
+          val x = ProtectedHalfSketch(b, seed = seed); x.updateAll(l)
+          val y = ProtectedHalfSketch(b, seed = seed + 10); y.updateAll(r)
+          (x.merge(y), base)
+        case order =>
+          val data = Workloads.ordered(base, order)
+          val s = ProtectedHalfSketch(b, seed = seed)
+          s.updateAll(data)
+          (s, data)
+      }
+      val actual = s"items=${s.itemsStored} height=${s.height} ranks=${rankDigest(s, data)}"
+      assert(golden.get(name).contains(actual), s"\"$name\" -> \"$actual\",")
+    }
+  }
 }
