@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.{RelativeCompactor, ReqSketch}
 import scala.collection.mutable.ArrayBuffer
 
 /** The "simple approach" the paper starts from and rejects (Section 1,
@@ -12,26 +13,24 @@ import scala.collection.mutable.ArrayBuffer
   * as little as one important item, so the number of error-contributing
   * compactions is only bounded by `R_h(y)` instead of `R_h(y)/k`.
   *
+  * It is the REQ level stack with the schedule removed: each level is a
+  * `RelativeCompactor` of capacity B, and a full level always runs its
+  * special compaction (Appendix C), which keeps exactly the B/2 smallest
+  * items. B must be a multiple of 4 (B = 2·k·sections with k = 2).
+  *
   * Used as the space baseline in tables T1/T4: sized by its own worst-case
-  * rule `B(ε) = 2·⌈1/ε²⌉` (rounded even) it keeps the ε guarantee but pays
-  * quadratically in 1/ε, which is the paper's claimed separation.
+  * rule `B(ε) = 2·⌈1/ε²⌉` (rounded up to a multiple of 4) it keeps the ε
+  * guarantee but pays quadratically in 1/ε, which is the paper's claimed
+  * separation.
   */
-final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long)
-    extends Serializable {
+final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long) {
 
-  require(bufferCapacity >= 4 && bufferCapacity % 2 == 0,
-    s"capacity must be even >= 4, got $bufferCapacity")
+  require(bufferCapacity >= 8 && bufferCapacity % 4 == 0,
+    s"capacity must be a multiple of 4, >= 8, got $bufferCapacity")
 
-  private val levels = ArrayBuffer(new ArrayBuffer[Double])
+  private val levels = ArrayBuffer(newLevel())
   private var count = 0L
-
-  @transient private var _rng: java.util.Random = _
-  private def rng: java.util.Random = {
-    if (_rng == null)
-      _rng = if (seed != 0) new java.util.Random(repro.core.ReqSketch.scramble(seed))
-             else new java.util.Random()
-    _rng
-  }
+  private lazy val rng = ReqSketch.newRng(seed)
 
   def n: Long = count
   def height: Int = levels.size - 1
@@ -39,72 +38,63 @@ final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long)
 
   def update(x: Double): Unit = {
     count += 1
-    levels(0) += x
+    levels(0).insert(x)
     var h = 0
-    while (h < levels.size && levels(h).size >= bufferCapacity) {
-      compactLevel(h)
+    while (h < levels.size && levels(h).isAtCapacity) {
+      promote(levels(h).specialCompact(rng), h)
       h += 1
     }
   }
 
   def updateAll(xs: IterableOnce[Double]): Unit = xs.iterator.foreach(update)
 
+  /** Merge `other` into the sketch with more levels and return it; both
+    * inputs are consumed.
+    */
   def merge(other: ProtectedHalfSketch): ProtectedHalfSketch = {
+    require(!(other eq this), "cannot merge a sketch with itself")
     require(other.bufferCapacity == bufferCapacity,
       "can only merge sketches with the same capacity")
-    val (tgt, src) =
-      if (this.levels.size >= other.levels.size) (this, other) else (other, this)
+    val (tgt, src) = if (this.levels.size >= other.levels.size) (this, other) else (other, this)
     tgt.count += src.count
     var h = 0
     while (h < src.levels.size) {
-      tgt.levels(h) ++= src.levels(h)
+      tgt.levels(h).insertAll(src.levels(h).toArray)
       h += 1
     }
     h = 0
     while (h < tgt.levels.size) {
-      while (tgt.levels(h).size >= tgt.bufferCapacity) tgt.compactLevel(h)
+      while (tgt.levels(h).isAtCapacity) tgt.promote(tgt.levels(h).specialCompact(tgt.rng), h)
       h += 1
     }
     tgt
-  }
-
-  /** Sort the level; keep the B/2 smallest; promote a random odd/even half
-    * of everything above them.
-    */
-  private def compactLevel(h: Int): Unit = {
-    val arr = levels(h).toArray
-    java.util.Arrays.sort(arr)
-    val keep = bufferCapacity / 2
-    val offset = keep + (if (rng.nextBoolean()) 1 else 0)
-    if (h + 1 == levels.size) levels += new ArrayBuffer[Double]
-    var i = offset
-    while (i < arr.length) { levels(h + 1) += arr(i); i += 2 }
-    levels(h).clear()
-    var j = 0
-    while (j < keep && j < arr.length) { levels(h) += arr(j); j += 1 }
   }
 
   /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y at level h}|. */
   def rank(y: Double): Long = {
     var r = 0L
     var h = 0
-    while (h < levels.size) {
-      val w = 1L << h
-      val b = levels(h)
-      var i = 0
-      while (i < b.size) { if (b(i) <= y) r += w; i += 1 }
-      h += 1
-    }
+    while (h < levels.size) { r += (1L << h) * levels(h).countAtMost(y); h += 1 }
     r
+  }
+
+  private def newLevel() = new RelativeCompactor(2, bufferCapacity / 4)
+
+  /** Cascade a compaction output into level h+1, creating it if needed. */
+  private def promote(out: Array[Double], h: Int): Unit = {
+    if (h + 1 == levels.size) levels += newLevel()
+    levels(h + 1).insertAll(out)
   }
 }
 
 object ProtectedHalfSketch {
 
-  /** Worst-case sizing for target relative error ε: B = 2·⌈1/ε²⌉ (even). */
+  /** Worst-case sizing for target relative error ε: B = 2·⌈1/ε²⌉, rounded up
+    * to a multiple of 4 and at least 8.
+    */
   def capacityFor(eps: Double): Int = {
     val b = 2 * math.ceil(1.0 / (eps * eps)).toInt
-    if (b % 2 == 0) math.max(4, b) else math.max(4, b + 1)
+    math.max(8, (b + 3) / 4 * 4)
   }
 
   def forEps(eps: Double, seed: Long = 0L): ProtectedHalfSketch =

@@ -1,36 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{col, count, lit, sum, when}
-
-/** Exact rank ground truth used to score the sketches.
-  *
-  * `R(y) = |{x ≤ y}|` for a batch of query points, computed in one Spark
-  * aggregation pass (a conditional-sum per query — no joins, no windows, so
-  * it stays cheap for a few dozen queries over millions of rows). The SQL
-  * shape is Oracle-checked against DuckDB in the test suite so the
-  * "truth" the benchmarks diff against is itself verified.
+/** Exact rank ground truth used to score the sketches: `R(y) = |{x ≤ y}|`.
+  * The test suite checks it against brute force, against a Spark
+  * aggregation and, through that, against DuckDB, so the "truth" the
+  * benchmarks diff against is itself verified.
   */
 object ExactRank {
-
-  /** Exact ranks of `queries` within `df(column)` (nulls dropped). */
-  def ranks(df: DataFrame, column: String, queries: Array[Double]): Array[Long] = {
-    if (queries.isEmpty) return Array.empty
-    val c = col(column).cast("double")
-    val aggs = queries.zipWithIndex.map { case (q, i) =>
-      sum(when(c <= q, 1L).otherwise(0L)).alias(s"r$i")
-    }
-    val row = df.na.drop(Seq(column)).agg(aggs.head, aggs.tail: _*).head()
-    queries.indices.map(i => if (row.isNullAt(i)) 0L else row.getLong(i)).toArray
-  }
-
-  /** DataFrame form (column `y`, column `rank`) for Oracle comparisons. */
-  def ranksDf(spark: SparkSession, df: DataFrame, column: String,
-              queries: Array[Double]): DataFrame = {
-    import spark.implicits._
-    val rs = ranks(df, column, queries)
-    queries.zip(rs).toSeq.toDF("y", "rank")
-  }
 
   /** Exact ranks of `queries` within a local array (sorted via binary
     * search; the array is sorted in place).
@@ -48,8 +23,4 @@ object ExactRank {
       lo.toLong
     }
   }
-
-  /** Exact count of non-null rows — sanity anchor for `ranks`. */
-  def total(df: DataFrame, column: String): Long =
-    df.na.drop(Seq(column)).agg(count(lit(1)).alias("n")).head().getLong(0)
 }

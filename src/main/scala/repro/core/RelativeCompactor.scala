@@ -32,23 +32,18 @@ import scala.collection.immutable.ArraySeq
   * survivors is supplied by the caller so the sketch owns a single RNG
   * stream.
   */
-final class RelativeCompactor(
-    @transient var k: Int,
-    @transient var numSections: Int
-) extends Serializable {
+final class RelativeCompactor(var k: Int, var numSections: Int) {
 
   require(k >= 2 && k % 2 == 0, s"section size must be even >= 2, got $k")
   require(numSections >= 2, s"need >= 2 sections, got $numSections")
 
-  /** Items: `buf(0 until sorted)` is sorted, `buf(sorted until len)` is not.
-    * Java serialization writes the level record instead of these fields.
-    */
-  @transient private var buf: Array[Double] = Array.emptyDoubleArray
-  @transient private var len: Int = 0
-  @transient private var sorted: Int = 0
+  /** Items: `buf(0 until sorted)` is sorted, `buf(sorted until len)` is not. */
+  private var buf: Array[Double] = Array.emptyDoubleArray
+  private var len: Int = 0
+  private var sorted: Int = 0
 
   /** Compaction-schedule state C (Algorithm 1 line 3). */
-  @transient var state: Long = 0L
+  var state: Long = 0L
 
   /** Buffer capacity B = 2·k·numSections. */
   def capacity: Int = 2 * k * numSections
@@ -216,9 +211,9 @@ final class RelativeCompactor(
 
   // ------------------------------------------------------------ level record
   //
-  // The one on-wire definition of a level, used by `ReqSketch.toBytes` and by
-  // Java serialization of a compactor: `k`, `size`, `numSections` (int32),
-  // `C` (int64), then `size` big-endian doubles written as one sorted run.
+  // The one on-wire definition of a level, used by `ReqSketch.toBytes`: `k`,
+  // `size`, `numSections` (int32), `C` (int64), then `size` big-endian doubles
+  // written as one sorted run.
 
   /** Bytes `writeRecord` writes. */
   def recordBytes: Int = RelativeCompactor.RecordHeaderBytes + 8 * len
@@ -234,27 +229,24 @@ final class RelativeCompactor(
     out.position(out.position() + 8 * len)
   }
 
-  /** Reads a record's fixed part into this level and returns its item count.
-    * Invalid parameters or an item count outside `[0, B]` mean foreign bytes;
-    * they are rejected before any item is allocated or read.
+  /** Replaces this level with the record read from `in`. Invalid parameters
+    * or an item count outside `[0, B]` mean foreign bytes; they are rejected
+    * before any item is allocated or read. The sorted prefix is re-derived by
+    * one scan, never taken from the bytes, so an unsorted record still
+    * compacts correctly.
     */
-  private def readRecordHeader(in: ByteBuffer): Int = {
+  private def readRecord(in: ByteBuffer): Unit = {
+    RelativeCompactor.need(in, RelativeCompactor.RecordHeaderBytes)
     val (newK, size, sections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
     if (newK < 2 || newK % 2 != 0 || sections < 2)
       throw new InvalidObjectException(s"invalid compactor parameters k=$newK numSections=$sections")
     val maxSize = math.min(2L * newK * sections, RelativeCompactor.MaxItems)
     if (size < 0 || size > maxSize)
       throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
+    RelativeCompactor.need(in, 8L * size)
     k = newK
     numSections = sections
     state = c
-    size
-  }
-
-  /** Reads `size` items. The sorted prefix is re-derived by one scan, never
-    * taken from the bytes, so an unsorted record still compacts correctly.
-    */
-  private def readItems(in: ByteBuffer, size: Int): Unit = {
     buf = new Array[Double](size)
     in.asDoubleBuffer().get(buf)
     in.position(in.position() + 8 * size)
@@ -262,32 +254,6 @@ final class RelativeCompactor(
     var i = math.min(1, size)
     while (i < size && java.lang.Double.compare(buf(i - 1), buf(i)) <= 0) i += 1
     sorted = i
-  }
-
-  /** Replaces this level with the record read from `in`. */
-  private def readRecord(in: ByteBuffer): Unit = {
-    RelativeCompactor.need(in, RelativeCompactor.RecordHeaderBytes)
-    val size = readRecordHeader(in)
-    RelativeCompactor.need(in, 8L * size)
-    readItems(in, size)
-  }
-
-  private def writeObject(out: java.io.ObjectOutputStream): Unit = {
-    out.defaultWriteObject()
-    val record = ByteBuffer.allocate(recordBytes)
-    writeRecord(record)
-    out.write(record.array())
-  }
-
-  private def readObject(in: java.io.ObjectInputStream): Unit = {
-    in.defaultReadObject()
-    def read(bytes: Int): ByteBuffer = {
-      val b = new Array[Byte](bytes)
-      in.readFully(b)
-      ByteBuffer.wrap(b)
-    }
-    val size = readRecordHeader(read(RelativeCompactor.RecordHeaderBytes))
-    readItems(read(8 * size), size)
   }
 }
 

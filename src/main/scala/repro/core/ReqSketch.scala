@@ -51,17 +51,7 @@ final class ReqSketch(
 
   private val levels = ArrayBuffer(new RelativeCompactor(k, sections))
 
-  private var _rng: java.util.Random = _
-
-  private def rng: java.util.Random = {
-    // Scramble the seed (SplitMix64 finalizer): java.util.Random's first
-    // outputs are heavily correlated across small sequential seeds, which
-    // would correlate the compaction coins of chunk sketches seeded 1,2,3…
-    if (_rng == null)
-      _rng = if (seed != 0) new java.util.Random(ReqSketch.scramble(seed))
-             else new java.util.Random()
-    _rng
-  }
+  private lazy val rng = ReqSketch.newRng(seed)
 
   // ---------------------------------------------------------------- queries
 
@@ -254,15 +244,27 @@ final class ReqSketch(
 
 object ReqSketch {
 
+  /** SplitMix64's increment (2^64 / the golden ratio). */
+  private[core] val Gamma = 0x9e3779b97f4a7c15L
+
   /** SplitMix64 finalizer — decorrelates nearby seeds before they reach
     * java.util.Random.
     */
   def scramble(seed: Long): Long = {
-    var z = seed + 0x9e3779b97f4a7c15L
+    var z = seed + Gamma
     z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
     z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
     z ^ (z >>> 31)
   }
+
+  /** The compaction-coin RNG of a sketch with this seed, shared by every
+    * sketch class. The seed is scrambled because java.util.Random's first
+    * outputs are heavily correlated across small sequential seeds, which
+    * would correlate the coins of chunk sketches seeded 1, 2, 3… A seed of 0
+    * seeds from entropy.
+    */
+  def newRng(seed: Long): java.util.Random =
+    if (seed != 0) new java.util.Random(scramble(seed)) else new java.util.Random()
 
   /** Fresh empty sketch. See class docs for parameter meanings. */
   def apply(eps: Double = 0.01,

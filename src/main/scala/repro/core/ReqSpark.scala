@@ -50,14 +50,11 @@ final class ReqSketchAggregator(
 object ReqSpark {
 
   /** Mix a base seed with a partition id into a well-spread per-partition
-    * seed (SplitMix64 finalizer), keeping partition sketches independent yet
-    * reproducible.
+    * seed (the SplitMix64 output for `seed` after `pid + 1` steps), keeping
+    * partition sketches independent yet reproducible.
     */
   def mixSeed(seed: Long, pid: Int): Long = {
-    var z = seed + 0x9e3779b97f4a7c15L * (pid + 1)
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    val m = z ^ (z >>> 31)
+    val m = ReqSketch.scramble(seed + ReqSketch.Gamma * pid)
     if (m == 0) 1 else m // 0 means "entropy" to ReqSketch; keep determinism
   }
 

@@ -1,15 +1,22 @@
 package repro.exp
 
+import org.apache.datasketches.kll.KllDoublesSketch
+import org.apache.datasketches.quantilescommon.QuantileSearchCriteria.INCLUSIVE
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{KllSketch, ProtectedHalfSketch}
+import repro.baselines.ProtectedHalfSketch
 import repro.core._
 
 /** Experiment harness: one function per table of EXPERIMENTS.md (T1–T6).
   *
   * Each function returns typed rows; `render` turns them into the
-  * markdown-ish table that both the `jobs/` mains and the `bench/` suites
-  * print. The bench suites additionally assert the paper-predicted *shape*
-  * (who wins, growth exponents, guarantee thresholds).
+  * markdown-ish table that the `bench/` suites print. The bench suites also
+  * assert the paper-predicted *shape* (who wins, growth exponents, guarantee
+  * thresholds).
+  *
+  * The additive-error baseline is DataSketches `KllDoublesSketch`
+  * (Karnin–Lang–Liberty). It draws its compaction coins from a JVM-wide
+  * `Random` and takes no seed: its item counts depend only on n and k, but
+  * its errors vary from run to run.
   */
 object Harness {
 
@@ -51,6 +58,10 @@ object Harness {
     math.max(8, (targetItems - overhead) / 3)
   }
 
+  /** Rank of `y` in items, from a KLL sketch's normalized inclusive rank. */
+  def kllRank(s: KllDoublesSketch, y: Double): Long =
+    math.round(s.getRank(y, INCLUSIVE) * s.getN)
+
   def render(title: String, header: Seq[String], rows: Seq[Seq[Any]]): String = {
     val body = rows.map(_.map {
       case d: Double => f"$d%.4f"
@@ -80,13 +91,13 @@ object Harness {
       val data = Workloads.uniform(n.toInt, seed + n)
       val req = ReqSketch(eps, delta, Practical, seed = seed + 1)
       req.updateAll(data)
-      val kll = KllSketch(k = math.max(8, (1 / eps).toInt), seed = seed + 2)
-      kll.updateAll(data)
+      val kll = KllDoublesSketch.newHeapInstance(math.max(8, (1 / eps).toInt))
+      data.foreach(kll.update)
       val ph = ProtectedHalfSketch.forEps(eps, seed = seed + 3)
       ph.updateAll(data)
       val pred = shape(n)
       T1Row(n, req.itemsStored, pred, req.itemsStored / pred,
-            kll.itemsStored, ph.itemsStored)
+            kll.getNumRetained, ph.itemsStored)
     }
   }
 
@@ -109,15 +120,15 @@ object Harness {
     val data = Workloads.uniform(n, seed)
     val req = ReqSketch(eps, delta, Practical, seed = seed + 1)
     req.updateAll(data)
-    val kll = KllSketch(kllKForItems(req.itemsStored, n), seed = seed + 2)
-    kll.updateAll(data)
+    val kll = KllDoublesSketch.newHeapInstance(kllKForItems(req.itemsStored, n))
+    data.foreach(kll.update)
     val reqP = errProfile(req.rank, data)
-    val kllP = errProfile(kll.rank(_), data)
+    val kllP = errProfile(kllRank(kll, _), data)
     val rows = reqP.perRank.zip(kllP.perRank).map { case ((r, e1), (_, e2)) =>
       T2Row(r, e1, e2)
     }
     val small = kllP.perRank.filter(_._1 <= n / 64).map(_._2)
-    T2Result(rows, req.itemsStored, kll.itemsStored, reqP.maxRel,
+    T2Result(rows, req.itemsStored, kll.getNumRetained, reqP.maxRel,
              if (small.isEmpty) 0.0 else small.max)
   }
 

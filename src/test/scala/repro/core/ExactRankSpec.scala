@@ -6,7 +6,8 @@ import repro.exp.Workloads
 
 /** Ground-truth validation: the exact-rank computation the benchmarks score
   * against is itself checked — locally against brute force, in Spark against
-  * the local path, and via the DuckDB Oracle against an independent engine.
+  * the local path (`SparkExactRank`), and via the DuckDB Oracle against an
+  * independent engine.
   */
 class ExactRankSpec extends SparkSpec {
 
@@ -33,7 +34,7 @@ class ExactRankSpec extends SparkSpec {
     val df = SynthData.uniformKeys(spark, rows = 20000, nKeys = 1000, seed = 2)
     val local = df.select(col("k").cast("double")).collect().map(_.getDouble(0))
     val qs = Array(1.0, 10.0, 100.0, 500.0, 1000.0)
-    val got = ExactRank.ranks(df, "k", qs)
+    val got = SparkExactRank.ranks(df, "k", qs)
     val want = ExactRank.ranksLocal(local, qs)
     assert(got.toSeq == want.toSeq)
   }
@@ -44,14 +45,14 @@ class ExactRankSpec extends SparkSpec {
       .collect().map(_.getDouble(0))
     val sorted = local.clone(); java.util.Arrays.sort(sorted)
     val qs = Array(sorted(10), sorted(sorted.length / 2), sorted(sorted.length - 1))
-    val got = ExactRank.ranks(df, "l_extendedprice", qs)
+    val got = SparkExactRank.ranks(df, "l_extendedprice", qs)
     val want = ExactRank.ranksLocal(local, qs)
     assert(got.toSeq == want.toSeq)
   }
 
   test("total counts non-null rows") {
     val df = SynthData.orders(spark, sf = 0.005)
-    assert(ExactRank.total(df, "o_totalprice") == df.count())
+    assert(SparkExactRank.total(df, "o_totalprice") == df.count())
   }
 
   test("Oracle: Spark exact-rank aggregation matches DuckDB") {

@@ -216,11 +216,9 @@ class RelativeCompactorSpec extends AnyFunSuite {
   }
 
   private def serialRoundTrip(c: RelativeCompactor): RelativeCompactor = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(c); oos.close()
-    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
-      .readObject().asInstanceOf[RelativeCompactor]
+    val record = java.nio.ByteBuffer.allocate(c.recordBytes)
+    c.writeRecord(record)
+    RelativeCompactor.read(record.flip())
   }
 
   test("sorted-run compaction matches a full sort under random operation mixes") {

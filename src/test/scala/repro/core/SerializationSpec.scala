@@ -81,8 +81,8 @@ class SerializationSpec extends AnyFunSuite {
   }
 
   /** Bytes of a sketch holding 3 items at level 0, with the level's item
-    * count replaced by `count`. Java serialization writes a compactor's int
-    * fields by name: k, len (the item count), numSections.
+    * count replaced by `count`. The level record starts with the int32s k,
+    * the item count and numSections.
     */
   private def withLevelCount(count: Int): Array[Byte] = {
     val s = ReqSketch(0.1, 0.1, seed = 19)
