@@ -271,14 +271,26 @@ class ReqSketchSpec extends AnyFunSuite {
   }
 
   /** SHA-256 of the sorted coreset's (raw bits, weight) pairs. */
-  private def coresetDigest(s: ReqSketch): String = {
+  private def coresetDigest(s: ReqSketch): String =
+    sha256(s.coreset.iterator.flatMap { case (x, w) =>
+      Iterator(java.lang.Double.doubleToRawLongBits(x), w) })
+
+  /** SHA-256 of `quantile` (raw bits) at φ = i/1024 and at extreme φ, then
+    * of `rank` at signed zeros, infinities, NaN, values the streams repeat
+    * and a grid over [0, 1).
+    */
+  private def queryDigest(s: ReqSketch): String = {
+    val phis = (1 to 1024).map(_ / 1024.0) ++ Seq(1e-6, 0.001, 0.01, 0.99, 0.999)
+    val ys = Seq(-0.0, 0.0, Double.NegativeInfinity, Double.PositiveInfinity, Double.NaN,
+      0.5, 1.0, 63.0, -1.0, Double.MaxValue) ++ (0 until 200).map(_ / 200.0)
+    sha256(phis.iterator.map(p => java.lang.Double.doubleToRawLongBits(s.quantile(p))) ++
+      ys.iterator.map(s.rank))
+  }
+
+  private def sha256(values: Iterator[Long]): String = {
     val md = java.security.MessageDigest.getInstance("SHA-256")
-    val bb = java.nio.ByteBuffer.allocate(16)
-    s.coreset.foreach { case (x, w) =>
-      bb.clear()
-      bb.putLong(java.lang.Double.doubleToRawLongBits(x)).putLong(w)
-      md.update(bb.array())
-    }
+    val bb = java.nio.ByteBuffer.allocate(8)
+    values.foreach { v => bb.clear(); md.update(bb.putLong(v).array()) }
     md.digest().map(b => f"${b & 0xff}%02x").mkString
   }
 
@@ -383,24 +395,55 @@ class ReqSketchSpec extends AnyFunSuite {
         " sha256=aee9771dfd7560c63045c7b630029e4c45c7e2d418ab0a0acbcfc46c54ad27da")
   )
 
+  private def goldenSketch(profile: ParamProfile, eps: Double, seed: Int, mode: String): ReqSketch = {
+    val data = goldenStream(1 << 20, seed)
+    mode match {
+      case "stream" =>
+        val s = ReqSketch(eps, 0.05, profile, seed = seed)
+        s.updateAll(data)
+        s
+      case _ =>
+        data.grouped(data.length / 64).zipWithIndex.map { case (c, i) =>
+          val chunk = ReqSketch(eps, 0.05, profile, seed = 100 * seed + i)
+          chunk.updateAll(c)
+          ReqSketch.fromBytes(ReqSketch.toBytes(chunk))
+        }.reduce((a, b) => a.merge(b))
+    }
+  }
+
+  /** `queryDigest` of each golden sketch. */
+  private val goldenQueries: Map[String, String] = Map(
+    "stream/Practical/seed=1" -> "e5fb09dce640de45f4c9ef4d2b99b4568f903cff415f0773093259b96a1ed845",
+    "merge64/Practical/seed=1" -> "25f691b75a365bcbbefb73e0e9258b37084180f8866b563696800842c7a4939b",
+    "stream/Practical/seed=2" -> "68e743904f9951389d0b8b3c9f5b71c4dfdcc3418fd8b48791693f66cf8d285a",
+    "merge64/Practical/seed=2" -> "fbd92adadb5216d2a195ce73bd42cfde36bcb46f4dcde3bb7064a46b7afa7c12",
+    "stream/Practical/seed=3" -> "e30dfc1dc361730eb17323aa70ad9256b7d5361ec86233d12f21d53cacb13f85",
+    "merge64/Practical/seed=3" -> "0ff9a374f07ba47b702cd1d2c9cee585102d3ef12a95de47e223f0575f03f659",
+    "stream/Theory/seed=1" -> "0a40c39aae7bf441cc50523804f2d1accde115dd9bb2d7d6a8e0f75ed03ba9d4",
+    "merge64/Theory/seed=1" -> "5f12d8a9579515cc6785cc2dafed5907a1c8ee5e25b104894eb4bbfba6b3cebf",
+    "stream/Theory/seed=2" -> "554876cd27238c4cf903449e9bb718accb00ee13677b61343856980ed854a558",
+    "merge64/Theory/seed=2" -> "4d2357ed1634d243c5ff3be9e60c3ced820ac10ca3fe1d70b8c98b59d5c3ff05",
+    "stream/Theory/seed=3" -> "41e41c3a226aeff24655cb0951a1a6d21b689ff8430444d68f66db0ff16b3954",
+    "merge64/Theory/seed=3" -> "d4ac05b128368f50b6cc4da18fb1ad4ac15dff67f18c2cf1f0b1987059eac70c",
+    "stream/FixedK(12)/seed=1" -> "53ceb161ce4e1d6369009f995351d17abd4c15f311f4d20a843e8843ca45d5dc",
+    "merge64/FixedK(12)/seed=1" -> "044cbcce2dfcfa54c3d26e7dbaacb3faa139f2017680a9eeab680035f83afbcc",
+    "stream/FixedK(12)/seed=2" -> "284049dd00fbb9fea8807a606f743a93f96fd96b9c06e09bb0976695a60ac559",
+    "merge64/FixedK(12)/seed=2" -> "8e144b628523eee8e56650d1134489108cb78f097f6b36a58a9cb7b13e744311",
+    "stream/FixedK(12)/seed=3" -> "4b21025f818e27055cc1e75763cc2a079cd6fb168d9e1edc8b04a9121bf8719a",
+    "merge64/FixedK(12)/seed=3" -> "ed41c39f1c4412a7dee09bfe005763e71453c36d9e2383de7a748b4a88fd9856"
+  )
+
   for ((profile, eps) <- goldenProfiles; seed <- 1 to 3; mode <- Seq("stream", "merge64")) {
     val name = s"$mode/$profile/seed=$seed"
     test(s"golden sketch state: $name") {
-      val data = goldenStream(1 << 20, seed)
-      val s = mode match {
-        case "stream" =>
-          val s = ReqSketch(eps, 0.05, profile, seed = seed)
-          s.updateAll(data)
-          s
-        case _ =>
-          data.grouped(data.length / 64).zipWithIndex.map { case (c, i) =>
-            val chunk = ReqSketch(eps, 0.05, profile, seed = 100 * seed + i)
-            chunk.updateAll(c)
-            ReqSketch.fromBytes(ReqSketch.toBytes(chunk))
-          }.reduce((a, b) => a.merge(b))
-      }
-      val actual = goldenState(s)
+      val actual = goldenState(goldenSketch(profile, eps, seed, mode))
       assert(golden.get(name).contains(actual), s"\"$name\" -> \"$actual\",")
+    }
+    test(s"golden query answers: $name") {
+      val s = goldenSketch(profile, eps, seed, mode)
+      assert(s.rank(-0.0) == s.rank(0.0))
+      val actual = queryDigest(s)
+      assert(goldenQueries.get(name).contains(actual), s"\"$name\" -> \"$actual\",")
     }
   }
 }
