@@ -36,14 +36,12 @@ final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long) {
   def height: Int = levels.size - 1
   def itemsStored: Int = levels.iterator.map(_.size).sum
 
+  /** Stream one item into the sketch. NaN is skipped, as in `ReqSketch`. */
   def update(x: Double): Unit = {
+    if (x.isNaN) return
     count += 1
     levels(0).insert(x)
-    var h = 0
-    while (h < levels.size && levels(h).isAtCapacity) {
-      promote(levels(h).specialCompact(rng), h)
-      h += 1
-    }
+    if (levels(0).isAtCapacity) compressAll()
   }
 
   def updateAll(xs: IterableOnce[Double]): Unit = xs.iterator.foreach(update)
@@ -62,11 +60,7 @@ final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long) {
       tgt.levels(h).insertAll(src.levels(h).toArray)
       h += 1
     }
-    h = 0
-    while (h < tgt.levels.size) {
-      while (tgt.levels(h).isAtCapacity) tgt.promote(tgt.levels(h).specialCompact(tgt.rng), h)
-      h += 1
-    }
+    tgt.compressAll()
     tgt
   }
 
@@ -80,10 +74,20 @@ final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long) {
 
   private def newLevel() = new RelativeCompactor(2, bufferCapacity / 4)
 
-  /** Cascade a compaction output into level h+1, creating it if needed. */
-  private def promote(out: Array[Double], h: Int): Unit = {
-    if (h + 1 == levels.size) levels += newLevel()
-    levels(h + 1).insertAll(out)
+  /** Single bottom-up pass of special compactions on any level at or over
+    * capacity, shared by `update` and `merge`: each promotes its output into
+    * the level above, created if needed.
+    */
+  private def compressAll(): Unit = {
+    var h = 0
+    while (h < levels.size) {
+      while (levels(h).isAtCapacity) {
+        val out = levels(h).specialCompact(rng)
+        if (h + 1 == levels.size) levels += newLevel()
+        levels(h + 1).insertAll(out)
+      }
+      h += 1
+    }
   }
 }
 

@@ -2,7 +2,6 @@ package repro.core
 
 import java.io.{EOFException, InvalidObjectException}
 import java.nio.ByteBuffer
-import scala.collection.immutable.ArraySeq
 
 /** One level of the REQ sketch: the relative-compactor of Algorithm 1.
   *
@@ -67,15 +66,25 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   /** Copy of the stored items (in no particular order). */
   def toArray: Array[Double] = java.util.Arrays.copyOf(buf, len)
 
-  /** Immutable view of the stored items (in no particular order). */
-  def items: IndexedSeq[Double] = ArraySeq.unsafeWrapArray(toArray)
+  /** The buffer with its pending tail sorted: `buf(0 until size)` is one
+    * run in `Double.compare` order. The tail sort is the one the next
+    * compaction would do, so the level's future is unchanged. Read-only.
+    */
+  private[core] def sortedItems: Array[Double] = { sortTail(); buf }
 
-  /** Number of stored items ≤ y. */
+  /** Number of stored items ≤ y (IEEE `<=`: −0.0 and 0.0 tie, NaN counts
+    * nothing). A binary search over the sorted run, on which `x <= y` holds
+    * for a prefix: NaN sorts last.
+    */
   def countAtMost(y: Double): Int = {
-    var c = 0
-    var i = 0
-    while (i < len) { if (buf(i) <= y) c += 1; i += 1 }
-    c
+    sortTail()
+    var lo = 0
+    var hi = len
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (buf(mid) <= y) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 
   /** Number of trailing ones in the binary representation of `c`. */

@@ -97,34 +97,27 @@ final class ReqSketch(
   /** Estimated rank of each query (batch form of `rank`). */
   def ranks(ys: Array[Double]): Array[Long] = ys.map(rank)
 
-  /** The weighted coreset: (item, weight) sorted by item. */
+  /** The weighted coreset: (item, weight) sorted by item, equal items in
+    * level order.
+    */
   def coreset: Array[(Double, Long)] = {
-    val out = new ArrayBuffer[(Double, Long)](itemsStored)
-    var h = 0
-    while (h < levels.size) {
-      val w = 1L << h
-      levels(h).items.foreach(x => out += ((x, w)))
-      h += 1
-    }
-    out.sortBy(_._1).toArray
+    val out = new Array[(Double, Long)](itemsStored)
+    var i = 0
+    walk { (x, w) => out(i) = (x, w); i += 1; true }
+    out
   }
 
   /** Approximate φ-quantile: the smallest stored item whose estimated rank
-    * is ≥ φ·n (φ ∈ (0, 1]). NaN on an empty sketch.
+    * is ≥ φ·n (φ ∈ (0, 1]), or the largest stored item when the stored
+    * weight falls short of φ·n. NaN when no item is stored (as when n = 0).
     */
   def quantile(phi: Double): Double = {
     require(phi > 0 && phi <= 1, s"phi must be in (0,1], got $phi")
-    if (count == 0) return Double.NaN
     val target = math.max(1L, math.ceil(phi * count).toLong)
-    val cs = coreset
     var acc = 0L
-    var i = 0
-    while (i < cs.length) {
-      acc += cs(i)._2
-      if (acc >= target) return cs(i)._1
-      i += 1
-    }
-    cs.last._1
+    var q = Double.NaN
+    walk { (x, w) => acc += w; q = x; acc < target }
+    q
   }
 
   /** Per-level sizes, for space accounting in the benches. */
@@ -143,11 +136,7 @@ final class ReqSketch(
     count += 1
     if (count > bound) growBound()
     levels(0).insert(x)
-    var h = 0
-    while (h < levels.size && levels(h).isAtCapacity) {
-      promote(levels(h).compact(rng), h)
-      h += 1
-    }
+    if (levels(0).isAtCapacity) compressAll()
   }
 
   def updateAll(xs: IterableOnce[Double]): Unit = xs.iterator.foreach(update)
@@ -165,15 +154,11 @@ final class ReqSketch(
         s"(eps=${other.eps}, delta=${other.delta}, ${other.profile})")
     val (tgt, src) = if (this.levels.size >= other.levels.size) (this, other) else (other, this)
     tgt.count += src.count
-    if (tgt.bound < tgt.count) {                 // Algorithm 4 lines 2–5
-      tgt.specialCompactAll()
-      while (tgt.bound < tgt.count) tgt.bound = square(tgt.bound)
-      tgt.recomputeParams()
-    }
+    if (tgt.bound < tgt.count) tgt.growBound()   // Algorithm 4 lines 2–5
     if (src.bound < tgt.bound) src.specialCompactAll() // lines 6–7
     var h = 0
     while (h < src.levels.size) {                // lines 8–11
-      if (h == tgt.levels.size) tgt.addLevel()
+      if (h == tgt.levels.size) tgt.levels += new RelativeCompactor(tgt.k, tgt.sections)
       tgt.levels(h).absorbState(src.levels(h).state)
       tgt.levels(h).insertAll(src.levels(h).toArray)
       h += 1
@@ -184,15 +169,36 @@ final class ReqSketch(
 
   // -------------------------------------------------------------- internals
 
+  /** Visits the weighted coreset in `Double.compare` order, equal items in
+    * level order, until `visit(item, weight)` returns false: a merge of the
+    * levels' sorted runs.
+    */
+  private def walk(visit: (Double, Long) => Boolean): Unit = {
+    val runs = levels.map(_.sortedItems).toArray
+    val ends = levels.map(_.size).toArray
+    val next = new Array[Int](runs.length)
+    var best = 0 // the level whose next item comes first; -1 ends the walk
+    while (best >= 0) {
+      best = -1
+      var h = 0
+      while (h < runs.length) {
+        if (next(h) < ends(h) &&
+            (best < 0 || java.lang.Double.compare(runs(h)(next(h)), runs(best)(next(best))) < 0)) best = h
+        h += 1
+      }
+      if (best >= 0) {
+        next(best) += 1
+        if (!visit(runs(best)(next(best) - 1), 1L << best)) best = -1
+      }
+    }
+  }
+
   /** Cascade a compaction output into level h+1, creating it if needed. */
   private def promote(out: Array[Double], h: Int): Unit = {
     if (out.isEmpty) return
-    if (h + 1 == levels.size) addLevel()
+    if (h + 1 == levels.size) levels += new RelativeCompactor(k, sections)
     levels(h + 1).insertAll(out)
   }
-
-  private def addLevel(): Unit =
-    levels += new RelativeCompactor(k, sections)
 
   /** Special compactions on levels 0..H−1 (Algorithm 4 SpecialCompactions):
     * each keeps at most B/2 items, promoting the compacted half upward.
@@ -206,8 +212,9 @@ final class ReqSketch(
   }
 
   /** Single bottom-up pass of scheduled compactions on any level at or over
-    * capacity (Algorithm 4 lines 12–17; one compaction always brings a level
-    * below capacity because it removes the whole over-capacity suffix).
+    * capacity: the update cascade (Algorithm 2) and Algorithm 4 lines 12–17.
+    * One compaction always brings a level below capacity because it removes
+    * the whole over-capacity suffix.
     */
   private def compressAll(): Unit = {
     var h = 0
@@ -217,20 +224,16 @@ final class ReqSketch(
     }
   }
 
-  /** Section 5 / footnote 7: when n exceeds N, special-compact every level,
-    * square N and recompute (k, B) in place.
+  /** Section 5 / footnote 7 and Algorithm 4 lines 2–5: when n exceeds N,
+    * special-compact every level, square N and recompute (k, B) in place.
     */
   private def growBound(): Unit = {
     specialCompactAll()
     while (bound < count) bound = square(bound)
-    recomputeParams()
-    compressAll()
-  }
-
-  private def recomputeParams(): Unit = {
     k = profile.sectionSize(bound, eps, delta)
     sections = profile.numSections(bound, k)
     levels.foreach(_.setParams(k, sections))
+    compressAll()
   }
 
   private def square(x: Long): Long =

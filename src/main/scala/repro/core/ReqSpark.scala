@@ -33,7 +33,11 @@ final class ReqSketchAggregator(
     seed: Long
 ) extends Aggregator[Double, ReqSketch, Array[Byte]] {
 
-  override def zero: ReqSketch = ReqSketch(eps, delta, profile, seed)
+  /** A buffer seeded per partition through `ReqSpark.mixSeed`, as
+    * `sketchColumn` seeds its sketches; seed 0 still means entropy.
+    */
+  override def zero: ReqSketch = ReqSketch(eps, delta, profile,
+    if (seed == 0) 0L else ReqSpark.mixSeed(seed, org.apache.spark.TaskContext.getPartitionId()))
 
   override def reduce(b: ReqSketch, x: Double): ReqSketch = { b.update(x); b }
 
@@ -99,7 +103,9 @@ object ReqSpark {
   def rankUdf(y: Double): org.apache.spark.sql.expressions.UserDefinedFunction =
     udf((bytes: Array[Byte]) => ReqSketch.fromBytes(bytes).rank(y))
 
-  /** Convenience: register the sketch UDAF plus rank/quantile helpers. */
+  /** Registers the sketch UDAF under `name` for SQL use. Query its output
+    * with `quantileUdf`/`rankUdf` or `ReqSketch.fromBytes`.
+    */
   def register(spark: SparkSession,
                name: String = "req_sketch",
                eps: Double = 0.01,

@@ -104,7 +104,7 @@ object Harness {
   def renderT1(rows: Seq[T1Row], eps: Double): String =
     render(s"T1 space vs n (eps=$eps)",
       Seq("n", "REQ items", "pred eps^-1*log^1.5(eps n)", "REQ/pred", "KLL items", "ProtHalf items"),
-      rows.map(r => Seq(r.n, r.reqItems, r.reqPredicted, r.reqOverPred, r.kllItems, r.phItems)))
+      rows.map(r => Seq[Any](r.n, r.reqItems, r.reqPredicted, r.reqOverPred, r.kllItems, r.phItems)))
 
   // --------------------------------------------------------------------- T2
 
@@ -135,7 +135,7 @@ object Harness {
   def renderT2(res: T2Result, n: Int, eps: Double): String =
     render(s"T2 tail accuracy (n=$n, eps=$eps, REQ items=${res.reqItems}, KLL items=${res.kllItems})",
       Seq("rank", "REQ rel.err", "KLL rel.err"),
-      res.rows.map(r => Seq(r.rank, r.reqRelErr, r.kllRelErr)))
+      res.rows.map(r => Seq[Any](r.rank, r.reqRelErr, r.kllRelErr)))
 
   // --------------------------------------------------------------------- T3
 
@@ -166,7 +166,7 @@ object Harness {
     // (c) random pairwise merge order over local chunk sketches
     val rng = new java.util.Random(seed + 4)
     val chunkSize = math.max(1, data.length / chunks)
-    var pool = data.grouped(chunkSize).zipWithIndex.map { case (chunk, i) =>
+    val pool = data.grouped(chunkSize).zipWithIndex.map { case (chunk, i) =>
       val s = ReqSketch(eps, delta, Practical, seed = ReqSpark.mixSeed(seed + 5, i))
       s.updateAll(chunk)
       s
@@ -226,8 +226,8 @@ object Harness {
   def renderT4(rows: Seq[T4Row], n: Int): String =
     render(s"T4 eps sweep (n=$n, worst over orders {${Workloads.orders.mkString(",")}})",
       Seq("eps", "REQ items", "ProtHalf items", "PH/REQ space", "REQ worst err", "PH worst err"),
-      rows.map(r => Seq(r.eps, r.reqItems, r.phItems, r.spaceRatio,
-                        r.reqWorstOrderErr, r.phWorstOrderErr)))
+      rows.map(r => Seq[Any](r.eps, r.reqItems, r.phItems, r.spaceRatio,
+                             r.reqWorstOrderErr, r.phWorstOrderErr)))
 
   // --------------------------------------------------------------------- T5
 
@@ -255,7 +255,7 @@ object Harness {
   def renderT5(rows: Seq[T5Row]): String =
     render("T5 update cost",
       Seq("n", "eps", "ns/update", "items stored", "levels"),
-      rows.map(r => Seq(r.n, r.eps, r.nsPerUpdate, r.items, r.levels)))
+      rows.map(r => Seq[Any](r.n, r.eps, r.nsPerUpdate, r.items, r.levels)))
 
   // --------------------------------------------------------------------- T6
 
@@ -290,5 +290,5 @@ object Harness {
   def renderT6(rows: Seq[T6Row], n: Int): String =
     render(s"T6 failure probability (n=$n)",
       Seq("delta", "eps", "trials", "worst per-query fail rate", "mean fail rate"),
-      rows.map(r => Seq(r.delta, r.eps, r.trials, r.worstQueryFailRate, r.meanFailRate)))
+      rows.map(r => Seq[Any](r.delta, r.eps, r.trials, r.worstQueryFailRate, r.meanFailRate)))
 }

@@ -46,6 +46,15 @@ class ProtectedHalfSpec extends AnyFunSuite {
     }
   }
 
+  test("NaN is skipped: n counts the other items and rank agrees") {
+    val rng = new java.util.Random(14)
+    val data = Array.fill(20000)(if (rng.nextInt(10) == 0) Double.NaN else rng.nextDouble())
+    val s = ProtectedHalfSketch(64, seed = 15)
+    s.updateAll(data)
+    assert(s.n == data.count(!_.isNaN))
+    assert(s.rank(Double.MaxValue) == s.n)
+  }
+
   test("merge combines counts") {
     val data = Workloads.uniform(60000, 7)
     val (l, r) = data.splitAt(30000)

@@ -59,12 +59,12 @@ class RelativeCompactorSpec extends AnyFunSuite {
     val (c, xs) = fullCompactor(k = 4, sections = 4)
     val sorted = xs.sorted
     c.compact(rng(1))
-    assert(c.items.sorted.toSeq == sorted.take(c.capacity - c.k).toSeq)
+    assert(c.toArray.sorted.toSeq == sorted.take(c.capacity - c.k).toSeq)
   }
 
   test("the protected half (B/2 smallest) is never compacted (scheduled)") {
     val (c, _) = fullCompactor(k = 4, sections = 4, seed = 3)
-    val protectedItems = c.items.sorted.take(c.capacity / 2)
+    val protectedItems = c.toArray.sorted.take(c.capacity / 2)
     // run many compactions, refilling with LARGER items each time: the
     // original smallest half must survive every scheduled compaction.
     val r = rng(9)
@@ -72,7 +72,7 @@ class RelativeCompactorSpec extends AnyFunSuite {
       c.compact(r)
       while (!c.isAtCapacity) c.insert(2.0 + r.nextDouble())
     }
-    assert(c.items.sorted.take(c.capacity / 2).toSeq == protectedItems.toSeq)
+    assert(c.toArray.sorted.take(c.capacity / 2).toSeq == protectedItems.toSeq)
   }
 
   test("promoted items are alternating elements of the compacted suffix") {
@@ -134,7 +134,7 @@ class RelativeCompactorSpec extends AnyFunSuite {
     val (c, xs) = fullCompactor(k = 4, sections = 4, seed = 7)
     val out = c.specialCompact(rng(7))
     assert(c.size == c.capacity / 2)
-    assert(c.items.sorted.toSeq == xs.sorted.take(c.capacity / 2).toSeq)
+    assert(c.toArray.sorted.toSeq == xs.sorted.take(c.capacity / 2).toSeq)
     assert(out.nonEmpty)
   }
 
@@ -159,7 +159,7 @@ class RelativeCompactorSpec extends AnyFunSuite {
     c.compact(rng(1))
     // everything from sorted index B-L on is gone; size = B - L = 8 - 2 = 6
     assert(c.size == 6)
-    assert(c.items.sorted.toSeq == xs.take(6))
+    assert(c.toArray.sorted.toSeq == xs.take(6))
   }
 
   test("countAtMost counts inclusively") {
@@ -173,9 +173,9 @@ class RelativeCompactorSpec extends AnyFunSuite {
   test("setParams grows capacity keeping items and state") {
     val (c, xs) = fullCompactor(k = 4, sections = 4)
     c.compact(rng(1))
-    val (items, st) = (c.items.sorted, c.state)
+    val (items, st) = (c.toArray.sorted.toSeq, c.state)
     c.setParams(8, 6)
-    assert(c.capacity == 96 && c.items.sorted == items && c.state == st)
+    assert(c.capacity == 96 && c.toArray.sorted.toSeq == items && c.state == st)
   }
 
   test("absorbState ORs the states") {

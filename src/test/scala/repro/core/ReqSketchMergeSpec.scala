@@ -8,7 +8,7 @@ import repro.exp.{Harness, Workloads}
   */
 class ReqSketchMergeSpec extends AnyFunSuite {
 
-  private def sketchOf(data: Array[Double], eps: Double = 0.05, seed: Long = 1):
+  private def sketchOf(data: Array[Double], eps: Double = 0.05, seed: Long):
       ReqSketch = {
     val s = ReqSketch(eps, 0.1, Practical, seed = seed)
     s.updateAll(data)

@@ -95,6 +95,15 @@ class ReqSparkSpec extends SparkSpec {
     assert(seeds.distinct.size == seeds.size)
   }
 
+  test("UDAF buffers are seeded per partition; seed 0 stays entropy") {
+    def seeds(seed: Long) = {
+      val agg = new ReqSketchAggregator(eps, 0.1, Practical, seed)
+      spark.sparkContext.parallelize(0 until 4, 4).map(_ => agg.zero.seed).collect()
+    }
+    assert(seeds(22).distinct.length == 4)
+    assert(seeds(0).forall(_ == 0))
+  }
+
   test("UDAF: whole-column sketch matches the column count") {
     val df = SynthData.uniformKeys(spark, rows = 50000, nKeys = 500, seed = 12)
     val bytes = df.agg(ReqSpark.reqUdaf(eps, 0.1, Practical, seed = 13)(col("v"))

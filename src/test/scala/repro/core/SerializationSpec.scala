@@ -27,6 +27,13 @@ class SerializationSpec extends AnyFunSuite {
     assert(t.n == 0 && t.itemsStored == 0)
   }
 
+  test("quantile on bytes with n > 0 and no stored items is NaN") {
+    val bytes = ReqSketch.toBytes(ReqSketch(0.1, 0.1, seed = 3))
+    java.nio.ByteBuffer.wrap(bytes).putLong(35, 5L) // n, see DESIGN.md
+    val s = ReqSketch.fromBytes(bytes)
+    assert(s.n == 5 && s.itemsStored == 0 && s.quantile(0.5).isNaN)
+  }
+
   test("deserialized sketch accepts further updates") {
     val s = ReqSketch(0.1, 0.1, seed = 4)
     s.updateAll(Workloads.uniform(10000, 5))

@@ -17,7 +17,7 @@ object SparkExactRank {
     val aggs = queries.zipWithIndex.map { case (q, i) =>
       sum(when(c <= q, 1L).otherwise(0L)).alias(s"r$i")
     }
-    val row = df.na.drop(Seq(column)).agg(aggs.head, aggs.tail: _*).head()
+    val row = df.na.drop(Seq(column)).agg(aggs.head, aggs.tail.toIndexedSeq: _*).head()
     queries.indices.map(i => if (row.isNullAt(i)) 0L else row.getLong(i)).toArray
   }
 
