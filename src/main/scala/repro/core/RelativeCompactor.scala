@@ -72,9 +72,9 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     */
   private[core] def sortedItems: Array[Double] = { sortTail(); buf }
 
-  /** Number of stored items ≤ y (IEEE `<=`: −0.0 and 0.0 tie, NaN counts
-    * nothing). A binary search over the sorted run, on which `x <= y` holds
-    * for a prefix: NaN sorts last.
+  /** Number of stored items ≤ y under IEEE `<=`: −0.0 and 0.0 tie, a stored
+    * NaN is never counted and y = NaN counts 0. A binary search over the
+    * sorted run, on which `x <= y` holds for a prefix (NaN sorts last).
     */
   def countAtMost(y: Double): Int = {
     sortTail()
