@@ -65,6 +65,23 @@ class ProtectedHalfSpec extends AnyFunSuite {
     assert(Harness.errProfile(m.rank(_), data).maxRel <= 0.2)
   }
 
+  test("self-merge throws and leaves the sketch unchanged") {
+    val s = ProtectedHalfSketch(64, seed = 16)
+    s.updateAll(Workloads.uniform(5000, 17))
+    val (n, items) = (s.n, s.itemsStored)
+    intercept[IllegalArgumentException](s.merge(s))
+    assert(s.n == n && s.itemsStored == items)
+  }
+
+  test("merge returns the taller input with n summed") {
+    val short = ProtectedHalfSketch(64, seed = 18); short.updateAll(Workloads.uniform(100, 19))
+    val tall = ProtectedHalfSketch(64, seed = 20); tall.updateAll(Workloads.uniform(50000, 21))
+    assert(short.height < tall.height)
+    val m = short.merge(tall)
+    assert(m eq tall)
+    assert(m.n == 50100)
+  }
+
   test("merge rejects mismatched capacity") {
     intercept[IllegalArgumentException](
       ProtectedHalfSketch(64).merge(ProtectedHalfSketch(128)))
