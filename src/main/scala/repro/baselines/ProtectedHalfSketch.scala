@@ -1,7 +1,6 @@
 package repro.baselines
 
-import repro.core.{RelativeCompactor, ReqSketch}
-import scala.collection.mutable.ArrayBuffer
+import repro.core.{LevelStack, RelativeCompactor}
 
 /** The "simple approach" the paper starts from and rejects (Section 1,
   * *Challenges and techniques*): each level is a buffer of fixed capacity B
@@ -13,28 +12,22 @@ import scala.collection.mutable.ArrayBuffer
   * as little as one important item, so the number of error-contributing
   * compactions is only bounded by `R_h(y)` instead of `R_h(y)/k`.
   *
-  * It is the REQ level stack with the schedule removed: each level is a
-  * `RelativeCompactor` of capacity B, and a full level always runs its
-  * special compaction (Appendix C), which keeps exactly the B/2 smallest
-  * items. B must be a multiple of 4 (B = 2·k·sections with k = 2).
+  * It is the REQ level stack (`LevelStack`) with the schedule removed: each
+  * level is a `RelativeCompactor` of capacity B, and a full level always
+  * runs its special compaction (Appendix C), which keeps exactly the B/2
+  * smallest items. B must be a multiple of 4 (B = 2·k·sections with k = 2).
   *
   * Used as the space baseline in tables T1/T4: sized by its own worst-case
   * rule `B(ε) = 2·⌈1/ε²⌉` (rounded up to a multiple of 4) it keeps the ε
   * guarantee but pays quadratically in 1/ε, which is the paper's claimed
   * separation.
   */
-final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long) {
+final class ProtectedHalfSketch(val bufferCapacity: Int, seed: Long) extends LevelStack(seed) {
 
   require(bufferCapacity >= 8 && bufferCapacity % 4 == 0,
     s"capacity must be a multiple of 4, >= 8, got $bufferCapacity")
 
-  private val levels = ArrayBuffer(newLevel())
-  private var count = 0L
-  private lazy val rng = ReqSketch.newRng(seed)
-
-  def n: Long = count
-  def height: Int = levels.size - 1
-  def itemsStored: Int = levels.iterator.map(_.size).sum
+  levels += newLevel()
 
   /** Stream one item into the sketch. NaN is skipped, as in `ReqSketch`. */
   def update(x: Double): Unit = {
@@ -44,8 +37,6 @@ final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long) {
     if (levels(0).isAtCapacity) compressAll()
   }
 
-  def updateAll(xs: IterableOnce[Double]): Unit = xs.iterator.foreach(update)
-
   /** Merge `other` into the sketch with more levels and return it; both
     * inputs are consumed.
     */
@@ -53,42 +44,16 @@ final class ProtectedHalfSketch(val bufferCapacity: Int, val seed: Long) {
     require(!(other eq this), "cannot merge a sketch with itself")
     require(other.bufferCapacity == bufferCapacity,
       "can only merge sketches with the same capacity")
-    val (tgt, src) = if (this.levels.size >= other.levels.size) (this, other) else (other, this)
+    val (tgt, src) = if (height >= other.height) (this, other) else (other, this)
     tgt.count += src.count
-    var h = 0
-    while (h < src.levels.size) {
-      tgt.levels(h).insertAll(src.levels(h).toArray)
-      h += 1
-    }
+    tgt.absorb(src) // ORs level states too, which `specialCompact` never reads
     tgt.compressAll()
     tgt
   }
 
-  /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y at level h}|. */
-  def rank(y: Double): Long = {
-    var r = 0L
-    var h = 0
-    while (h < levels.size) { r += (1L << h) * levels(h).countAtMost(y); h += 1 }
-    r
-  }
+  protected def newLevel(): RelativeCompactor = new RelativeCompactor(2, bufferCapacity / 4)
 
-  private def newLevel() = new RelativeCompactor(2, bufferCapacity / 4)
-
-  /** Single bottom-up pass of special compactions on any level at or over
-    * capacity, shared by `update` and `merge`: each promotes its output into
-    * the level above, created if needed.
-    */
-  private def compressAll(): Unit = {
-    var h = 0
-    while (h < levels.size) {
-      while (levels(h).isAtCapacity) {
-        val out = levels(h).specialCompact(rng)
-        if (h + 1 == levels.size) levels += newLevel()
-        levels(h + 1).insertAll(out)
-      }
-      h += 1
-    }
-  }
+  protected def compactFull(level: RelativeCompactor): Array[Double] = level.specialCompact(rng)
 }
 
 object ProtectedHalfSketch {

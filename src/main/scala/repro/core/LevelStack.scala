@@ -1,0 +1,92 @@
+package repro.core
+
+import scala.collection.mutable.ArrayBuffer
+
+/** The level stack shared by `ReqSketch` and the protected-half baseline:
+  * relative-compactor levels, level h holding items of weight `2^h`, one
+  * compaction-coin RNG and the count of items summarized. The paper's
+  * "simple approach" (Section 1) is this stack with the schedule removed,
+  * and Algorithms 2 and 4 run the same operations on it for both: the
+  * weighted rank, the bottom-up compaction cascade and the level-by-level
+  * merge.
+  *
+  * A subclass supplies `newLevel()` and the compaction a full level runs,
+  * and appends its own first level once the parameters `newLevel()` reads
+  * are set.
+  *
+  * @param seed RNG seed; 0 means "seed from entropy" (`ReqSketch.newRng`)
+  */
+abstract class LevelStack(val seed: Long) {
+
+  protected[core] val levels = ArrayBuffer.empty[RelativeCompactor]
+
+  /** Total number of input items summarized. */
+  protected[core] var count: Long = 0L
+
+  protected lazy val rng: java.util.Random = ReqSketch.newRng(seed)
+
+  /** An empty level with the stack's current parameters. */
+  protected def newLevel(): RelativeCompactor
+
+  /** The compaction a level at or over capacity runs; returns the items it
+    * promotes.
+    */
+  protected def compactFull(level: RelativeCompactor): Array[Double]
+
+  /** Stream one item into the sketch. */
+  def update(x: Double): Unit
+
+  def updateAll(xs: IterableOnce[Double]): Unit = xs.iterator.foreach(update)
+
+  /** Number of items summarized so far. */
+  def n: Long = count
+
+  /** Index of the highest level (H in the paper); levels are 0..height. */
+  def height: Int = levels.size - 1
+
+  /** Total number of universe items stored — the paper's space measure. */
+  def itemsStored: Int = levels.iterator.map(_.size).sum
+
+  /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y stored at level h}|; 0 on an
+    * empty sketch.
+    */
+  def rank(y: Double): Long = {
+    var r = 0L
+    var h = 0
+    while (h < levels.size) { r += (1L << h) * levels(h).countAtMost(y); h += 1 }
+    r
+  }
+
+  /** Cascade a compaction output into level h+1, creating it if needed. */
+  protected def promote(out: Array[Double], h: Int): Unit = {
+    if (out.isEmpty) return
+    if (h + 1 == levels.size) levels += newLevel()
+    levels(h + 1).insertAll(out)
+  }
+
+  /** Single bottom-up pass of compactions on any level at or over capacity:
+    * the update cascade (Algorithm 2) and Algorithm 4 lines 12–17. One
+    * compaction always brings a level below capacity because it removes the
+    * whole over-capacity suffix.
+    */
+  protected def compressAll(): Unit = {
+    var h = 0
+    while (h < levels.size) {
+      while (levels(h).isAtCapacity) promote(compactFull(levels(h)), h)
+      h += 1
+    }
+  }
+
+  /** Algorithm 4 lines 8–11: OR each of `src`'s level states into this
+    * stack's level of the same height, then append its items. `src` has no
+    * more levels than this stack.
+    */
+  protected def absorb(src: LevelStack): Unit = {
+    var h = 0
+    while (h < src.levels.size) {
+      levels(h).absorbState(src.levels(h).state)
+      levels(h).insertAll(src.levels(h).toArray)
+      h += 1
+    }
+  }
+}

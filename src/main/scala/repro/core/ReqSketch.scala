@@ -2,7 +2,6 @@ package repro.core
 
 import java.io.{InvalidObjectException, StreamCorruptedException}
 import java.nio.ByteBuffer
-import scala.collection.mutable.ArrayBuffer
 
 /** The Relative-Error Quantiles (REQ) sketch — Algorithms 2–4 of
   * "Relative Error Streaming Quantiles" (Cormode–Karnin–Liberty–Thaler–
@@ -34,14 +33,11 @@ final class ReqSketch(
     val eps: Double,
     val delta: Double,
     val profile: ParamProfile,
-    val seed: Long
-) extends Serializable {
+    seed: Long
+) extends LevelStack(seed) with Serializable {
 
   require(eps > 0 && eps <= 1, s"eps must be in (0,1], got $eps")
   require(delta > 0 && delta <= 0.5, s"delta must be in (0,0.5], got $delta")
-
-  /** Total number of input items summarized. */
-  private var count: Long = 0L
 
   /** Current upper bound N on the input size (squared when exceeded). */
   private var bound: Long = profile.initialBound(eps, delta)
@@ -49,14 +45,9 @@ final class ReqSketch(
   private var k: Int = profile.sectionSize(bound, eps, delta)
   private var sections: Int = profile.numSections(bound, k)
 
-  private val levels = ArrayBuffer(new RelativeCompactor(k, sections))
-
-  private lazy val rng = ReqSketch.newRng(seed)
+  levels += newLevel()
 
   // ---------------------------------------------------------------- queries
-
-  /** Number of items summarized so far. */
-  def n: Long = count
 
   /** Current input-size upper bound N. */
   def nBound: Long = bound
@@ -67,12 +58,6 @@ final class ReqSketch(
   /** Current per-level buffer capacity B. */
   def bufferCapacity: Int = 2 * k * sections
 
-  /** Index of the highest level (H in the paper); levels are 0..height. */
-  def height: Int = levels.size - 1
-
-  /** Total number of universe items stored — the paper's space measure. */
-  def itemsStored: Int = levels.iterator.map(_.size).sum
-
   /** Σ_h 2^h·|buffer_h| — equals n exactly in the pure streaming setting
     * (every scheduled compaction there halves an even-sized range) and
     * stays an unbiased estimate of n under merges.
@@ -82,16 +67,6 @@ final class ReqSketch(
     var h = 0
     while (h < levels.size) { w += (1L << h) * levels(h).size; h += 1 }
     w
-  }
-
-  /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y stored at level h}|; 0 on an
-    * empty sketch.
-    */
-  def rank(y: Double): Long = {
-    var r = 0L
-    var h = 0
-    while (h < levels.size) { r += (1L << h) * levels(h).countAtMost(y); h += 1 }
-    r
   }
 
   /** Estimated rank of each query (batch form of `rank`). */
@@ -139,8 +114,6 @@ final class ReqSketch(
     if (levels(0).isAtCapacity) compressAll()
   }
 
-  def updateAll(xs: IterableOnce[Double]): Unit = xs.iterator.foreach(update)
-
   /** Merge `other` into the sketch with more levels and return it
     * (Algorithm 4). Both inputs are consumed: the returned sketch owns the
     * merged state and the other argument must not be reused. A sketch cannot
@@ -156,18 +129,16 @@ final class ReqSketch(
     tgt.count += src.count
     if (tgt.bound < tgt.count) tgt.growBound()   // Algorithm 4 lines 2–5
     if (src.bound < tgt.bound) src.specialCompactAll() // lines 6–7
-    var h = 0
-    while (h < src.levels.size) {                // lines 8–11
-      if (h == tgt.levels.size) tgt.levels += new RelativeCompactor(tgt.k, tgt.sections)
-      tgt.levels(h).absorbState(src.levels(h).state)
-      tgt.levels(h).insertAll(src.levels(h).toArray)
-      h += 1
-    }
+    tgt.absorb(src)                              // lines 8–11
     tgt.compressAll()                            // lines 12–17
     tgt
   }
 
   // -------------------------------------------------------------- internals
+
+  protected def newLevel(): RelativeCompactor = new RelativeCompactor(k, sections)
+
+  protected def compactFull(level: RelativeCompactor): Array[Double] = level.compact(rng)
 
   /** Visits the weighted coreset in `Double.compare` order, equal items in
     * level order, until `visit(item, weight)` returns false: a merge of the
@@ -193,13 +164,6 @@ final class ReqSketch(
     }
   }
 
-  /** Cascade a compaction output into level h+1, creating it if needed. */
-  private def promote(out: Array[Double], h: Int): Unit = {
-    if (out.isEmpty) return
-    if (h + 1 == levels.size) levels += new RelativeCompactor(k, sections)
-    levels(h + 1).insertAll(out)
-  }
-
   /** Special compactions on levels 0..H−1 (Algorithm 4 SpecialCompactions):
     * each keeps at most B/2 items, promoting the compacted half upward.
     */
@@ -207,19 +171,6 @@ final class ReqSketch(
     var h = 0
     while (h < levels.size - 1) {
       promote(levels(h).specialCompact(rng), h)
-      h += 1
-    }
-  }
-
-  /** Single bottom-up pass of scheduled compactions on any level at or over
-    * capacity: the update cascade (Algorithm 2) and Algorithm 4 lines 12–17.
-    * One compaction always brings a level below capacity because it removes
-    * the whole over-capacity suffix.
-    */
-  private def compressAll(): Unit = {
-    var h = 0
-    while (h < levels.size) {
-      while (levels(h).isAtCapacity) promote(levels(h).compact(rng), h)
       h += 1
     }
   }
@@ -310,7 +261,8 @@ object ReqSketch {
     * `EOFException` when truncated, `StreamCorruptedException` for a wrong
     * magic or trailing bytes, `InvalidObjectException` for an unknown
     * version, flags or profile, or invalid parameters, counts or levels,
-    * each raised before anything is allocated for it.
+    * each raised before anything is allocated for it, or for a stored weight
+    * Σ_h 2^h·size_h above `Long.MaxValue`, checked as each level is read.
     */
   def fromBytes(b: Array[Byte]): ReqSketch = {
     val in = ByteBuffer.wrap(b)
@@ -342,11 +294,15 @@ object ReqSketch {
     s.k = k
     s.sections = sections
     s.levels.clear()
-    for (_ <- 0 until numLevels) {
+    var weight = 0L // Σ 2^h·size_h so far: every rank must fit a Long
+    for (h <- 0 until numLevels) {
       val level = RelativeCompactor.read(in)
       if (level.k != k || level.numSections != sections)
         throw new InvalidObjectException(s"level parameters (${level.k}, ${level.numSections})" +
           s" differ from the sketch's ($k, $sections)")
+      if (level.size > ((Long.MaxValue - weight) >> h))
+        throw new InvalidObjectException(s"stored weight overflows a Long at level $h")
+      weight += level.size.toLong << h
       s.levels += level
     }
     if (in.hasRemaining)

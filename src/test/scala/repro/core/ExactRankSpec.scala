@@ -51,8 +51,8 @@ class ExactRankSpec extends SparkSpec {
   }
 
   test("total counts non-null rows") {
-    val df = SynthData.orders(spark, sf = 0.005)
-    assert(SparkExactRank.total(df, "o_totalprice") == df.count())
+    val df = SynthData.lineitem(spark, sf = 0.005)
+    assert(SparkExactRank.total(df, "l_extendedprice") == df.count())
   }
 
   test("Oracle: Spark exact-rank aggregation matches DuckDB") {

@@ -177,6 +177,29 @@ class SerializationSpec extends AnyFunSuite {
       intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
   }
 
+  /** Bytes of an empty sketch with `levels` levels, the top one holding
+    * `top`.
+    */
+  private def withTopLevel(levels: Int, top: Double*): Array[Byte] = {
+    val s = ReqSketch(0.1, 0.1, seed = 30)
+    val sections = s.bufferCapacity / (2 * s.sectionSize)
+    val out = java.nio.ByteBuffer.allocate(63 + 20 * levels + 8 * top.length)
+    out.put(ReqSketch.toBytes(s), 0, 59).putInt(levels)
+    for (h <- 0 until levels) {
+      val items = if (h == levels - 1) top else Nil
+      out.putInt(s.sectionSize).putInt(items.length).putInt(sections).putLong(0L)
+      items.foreach(out.putDouble)
+    }
+    out.array()
+  }
+
+  test("a stored weight above Long.MaxValue fails with an InvalidObjectException") {
+    val s = ReqSketch.fromBytes(withTopLevel(63, 1.0))
+    assert(s.rank(3.0) == (1L << 62) && s.totalWeight == (1L << 62))
+    for (bytes <- Seq(withTopLevel(64, 1.0), withTopLevel(63, 1.0, 2.0)))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+  }
+
   test("trailing bytes are rejected") {
     val s = ReqSketch(0.1, 0.1, seed = 26)
     s.updateAll(Workloads.uniform(5000, 27))
