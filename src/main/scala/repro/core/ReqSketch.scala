@@ -9,9 +9,10 @@ import java.nio.ByteBuffer
   * Section 5 / Appendix C (N-squaring with in-place parameter recomputation
   * and special compactions) and the fully-general merge of Algorithm 4.
   *
-  * Levels are relative-compactors; an item stored at level h represents
-  * `2^h` input items. `rank(y)` sums `2^h · |{x ≤ y at level h}|` over the
-  * level buffers (the weighted coreset of Section 2.2).
+  * Levels are relative-compactors on the shared `LevelStack`; an item
+  * stored at level h represents `2^h` input items. `rank(y)` sums
+  * `2^h · |{x ≤ y at level h}|` over the level buffers (the weighted coreset
+  * of Section 2.2). A full level runs a scheduled compaction.
   *
   * Guarantee (Theorem 1): for fixed y,
   * `Pr[|rank(y) − R(y)| ≥ ε·R(y)] < δ`, storing
