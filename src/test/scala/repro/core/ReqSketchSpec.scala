@@ -313,6 +313,11 @@ class ReqSketchSpec extends AnyFunSuite {
         " states=511,63,62,59,52,36,8,0" +
         " n=1048576 bound=30680521" +
         " sha256=1adbe9cfa045c299336dfa5520c9eecd2982d767c841b1712cbc079854139a9d"),
+    "tree64/Practical/seed=1" ->
+      ("sizes=5248,5904,6068,5740,6068,5904,6068,2242" +
+        " states=32,6,5,4,3,2,1,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=4ede0c95fd54a26a5e424e969185dd8f26cb8d67362d05653ead447995846dcc"),
     "stream/Practical/seed=2" ->
       ("sizes=6153,5822,6068,6212,6130,6068,5735,2325" +
         " states=3175,1260,531,246,108,41,8,0" +
@@ -323,6 +328,11 @@ class ReqSketchSpec extends AnyFunSuite {
         " states=511,63,62,59,52,36,8,0" +
         " n=1048576 bound=30680521" +
         " sha256=4c328899e8873728215465f56142a2c26f5174c6c2d8aa4a7972a5bc4ed320c5"),
+    "tree64/Practical/seed=2" ->
+      ("sizes=5248,5904,6068,5740,6068,5904,6068,2242" +
+        " states=32,6,5,4,3,2,1,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=563b722b2052d978bdc33e99fdce759630d879703b20a4bef764de23bb1c495a"),
     "stream/Practical/seed=3" ->
       ("sizes=6153,5822,6068,6211,6130,6068,5735,2327" +
         " states=3175,1260,531,246,108,41,8,0" +
@@ -333,6 +343,11 @@ class ReqSketchSpec extends AnyFunSuite {
         " states=511,63,62,59,52,36,8,0" +
         " n=1048576 bound=30680521" +
         " sha256=ea1755a40b13389f6c5c98a0989f6e663f2e2708435d9394e1ebfc05f865812e"),
+    "tree64/Practical/seed=3" ->
+      ("sizes=5248,5904,6068,5740,6068,5904,6068,2241" +
+        " states=32,6,5,4,3,2,1,0" +
+        " n=1048576 bound=30680521" +
+        " sha256=d75b585a82279c9f24ca1a92a3ebf8e7718f2f24f177f3993692684a206946fc"),
     "stream/Theory/seed=1" ->
       ("sizes=9762,9728,9216,9984,10128,9728,6708" +
         " states=2026,798,344,153,61,18,0" +
@@ -343,6 +358,11 @@ class ReqSketchSpec extends AnyFunSuite {
         " states=504,63,60,55,42,17,0" +
         " n=1048576 bound=78535044" +
         " sha256=817aded93f1668732810862d20ac2eba3b74c5695984090a2dd9f2499b21a786"),
+    "tree64/Theory/seed=1" ->
+      ("sizes=9984,9728,9472,9984,9728,9984,6660" +
+        " states=13,6,4,3,2,1,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=c04efd62ae8551289823d9aa188134a528280d9477828f8f797397b104573219"),
     "stream/Theory/seed=2" ->
       ("sizes=9762,9728,9216,9984,10128,9728,6707" +
         " states=2026,798,344,153,61,18,0" +
@@ -353,6 +373,11 @@ class ReqSketchSpec extends AnyFunSuite {
         " states=504,63,60,55,42,17,0" +
         " n=1048576 bound=78535044" +
         " sha256=01d92d36912b06de9880f061e5174b6cba9824a9b872294f19a5728cba5d2cd0"),
+    "tree64/Theory/seed=2" ->
+      ("sizes=9984,9728,9472,9984,9728,9984,6660" +
+        " states=13,6,4,3,2,1,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=103052e4da5871bef146b300b279c4cf3bb48d01feed86e75fe9fb48659927b1"),
     "stream/Theory/seed=3" ->
       ("sizes=9762,9728,9216,9984,10128,9728,6708" +
         " states=2026,798,344,153,61,18,0" +
@@ -363,6 +388,11 @@ class ReqSketchSpec extends AnyFunSuite {
         " states=504,63,60,55,42,17,0" +
         " n=1048576 bound=78535044" +
         " sha256=56b30303a055231f7a4c82b158a5e38577ffc7d14bf41618c608a100017d1f72"),
+    "tree64/Theory/seed=3" ->
+      ("sizes=9984,9728,9472,9984,9728,9984,6660" +
+        " states=13,6,4,3,2,1,0" +
+        " n=1048576 bound=78535044" +
+        " sha256=ef349b8393ccda0a7d97f14f23269395f948f39cbdf7210c43507deb1e57a034"),
     "stream/FixedK(12)/seed=1" ->
       ("sizes=516,522,516,511,504,516,516,516,525,505,511" +
         " states=43670,17434,7623,3598,1768,879,431,201,87,28,0" +
@@ -373,6 +403,11 @@ class ReqSketchSpec extends AnyFunSuite {
         " states=1023,2047,255,1022,120,63,60,57,48,28,1,0" +
         " n=1048576 bound=16777216" +
         " sha256=1f09e3663d59b48a43aa5cb4f236a034131c72a5da6b65244ed9525fcf52d2dd"),
+    "tree64/FixedK(12)/seed=1" ->
+      ("sizes=504,504,504,516,468,504,516,516,504,516,513" +
+        " states=666,250,102,35,16,14,5,7,2,1,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=5ebc599e5fb3eeb5872adf4934066101799cd98b6c3932da3bdd5b455c7717c3"),
     "stream/FixedK(12)/seed=2" ->
       ("sizes=516,522,516,511,503,504,480,516,508,516,507" +
         " states=43670,17434,7623,3598,1768,870,424,199,84,29,0" +
@@ -383,6 +418,11 @@ class ReqSketchSpec extends AnyFunSuite {
         " states=1023,2047,255,1022,120,63,60,56,49,26,0" +
         " n=1048576 bound=16777216" +
         " sha256=79c964294d2375bcbe8ee89067ead26ae71c7473bb7af0e0cb27d54e26bb3a77"),
+    "tree64/FixedK(12)/seed=2" ->
+      ("sizes=504,504,504,516,456,504,516,516,504,516,513" +
+        " states=666,250,102,35,32,6,13,3,2,1,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=43d994fabe9d76cb33d365ed75a0b70a2e9469dfba1736a63a2d8f0d057ade73"),
     "stream/FixedK(12)/seed=3" ->
       ("sizes=516,522,516,512,492,516,504,480,516,506,521" +
         " states=43670,17434,7623,3598,1776,879,426,200,87,28,0" +
@@ -392,7 +432,12 @@ class ReqSketchSpec extends AnyFunSuite {
       ("sizes=516,516,516,504,516,516,492,480,516,522,509" +
         " states=1023,2047,255,1022,119,63,60,56,49,26,0" +
         " n=1048576 bound=16777216" +
-        " sha256=aee9771dfd7560c63045c7b630029e4c45c7e2d418ab0a0acbcfc46c54ad27da")
+        " sha256=aee9771dfd7560c63045c7b630029e4c45c7e2d418ab0a0acbcfc46c54ad27da"),
+    "tree64/FixedK(12)/seed=3" ->
+      ("sizes=504,504,504,516,468,504,516,516,504,516,514" +
+        " states=666,250,102,35,16,14,13,3,2,1,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=b0e90e641bd4138add02dd7a7a963be0b91fd3b83825cb5c0f4b6a0965dd60d8")
   )
 
   private def goldenSketch(profile: ParamProfile, eps: Double, seed: Int, mode: String): ReqSketch = {
@@ -403,11 +448,18 @@ class ReqSketchSpec extends AnyFunSuite {
         s.updateAll(data)
         s
       case _ =>
-        data.grouped(data.length / 64).zipWithIndex.map { case (c, i) =>
+        // merge64 folds decoded chunks left to right; tree64 merges live
+        // chunks, pending tails and all, pairwise up a balanced tree.
+        var chunks = data.grouped(data.length / 64).zipWithIndex.map { case (c, i) =>
           val chunk = ReqSketch(eps, 0.05, profile, seed = 100 * seed + i)
           chunk.updateAll(c)
-          ReqSketch.fromBytes(ReqSketch.toBytes(chunk))
-        }.reduce((a, b) => a.merge(b))
+          if (mode == "merge64") ReqSketch.fromBytes(ReqSketch.toBytes(chunk)) else chunk
+        }.toVector
+        if (mode == "merge64") chunks.reduce((a, b) => a.merge(b))
+        else {
+          while (chunks.size > 1) chunks = chunks.grouped(2).map(p => p(0).merge(p(1))).toVector
+          chunks.head
+        }
     }
   }
 
@@ -415,25 +467,34 @@ class ReqSketchSpec extends AnyFunSuite {
   private val goldenQueries: Map[String, String] = Map(
     "stream/Practical/seed=1" -> "e5fb09dce640de45f4c9ef4d2b99b4568f903cff415f0773093259b96a1ed845",
     "merge64/Practical/seed=1" -> "25f691b75a365bcbbefb73e0e9258b37084180f8866b563696800842c7a4939b",
+    "tree64/Practical/seed=1" -> "12d1c26ece43db445b6660787bd4ff2fcc719b2348d99667f4ba2a703aecfbb8",
     "stream/Practical/seed=2" -> "68e743904f9951389d0b8b3c9f5b71c4dfdcc3418fd8b48791693f66cf8d285a",
     "merge64/Practical/seed=2" -> "fbd92adadb5216d2a195ce73bd42cfde36bcb46f4dcde3bb7064a46b7afa7c12",
+    "tree64/Practical/seed=2" -> "8ab83005d0d53d3993dddf6f38a724dbd8de9b1e1ea5eabbfdeff7b1cfc30ace",
     "stream/Practical/seed=3" -> "e30dfc1dc361730eb17323aa70ad9256b7d5361ec86233d12f21d53cacb13f85",
     "merge64/Practical/seed=3" -> "0ff9a374f07ba47b702cd1d2c9cee585102d3ef12a95de47e223f0575f03f659",
+    "tree64/Practical/seed=3" -> "02c7c9cbc13a1eec1a563be6a663a1dd0c3c7bc980b3552972e060e75a412356",
     "stream/Theory/seed=1" -> "0a40c39aae7bf441cc50523804f2d1accde115dd9bb2d7d6a8e0f75ed03ba9d4",
     "merge64/Theory/seed=1" -> "5f12d8a9579515cc6785cc2dafed5907a1c8ee5e25b104894eb4bbfba6b3cebf",
+    "tree64/Theory/seed=1" -> "24af0b3c5a0eb78fe5e18f2e3209eb4c48e160843e6ae68ee966e022fd6637f6",
     "stream/Theory/seed=2" -> "554876cd27238c4cf903449e9bb718accb00ee13677b61343856980ed854a558",
     "merge64/Theory/seed=2" -> "4d2357ed1634d243c5ff3be9e60c3ced820ac10ca3fe1d70b8c98b59d5c3ff05",
+    "tree64/Theory/seed=2" -> "24768225e904f4954610bee412146022994c541cd0fb5693a7f8bdf8d050f87a",
     "stream/Theory/seed=3" -> "41e41c3a226aeff24655cb0951a1a6d21b689ff8430444d68f66db0ff16b3954",
     "merge64/Theory/seed=3" -> "d4ac05b128368f50b6cc4da18fb1ad4ac15dff67f18c2cf1f0b1987059eac70c",
+    "tree64/Theory/seed=3" -> "fc3ef67580e28942c2b9aab2702f1859feaaddc6d3b20af891962d3943895853",
     "stream/FixedK(12)/seed=1" -> "53ceb161ce4e1d6369009f995351d17abd4c15f311f4d20a843e8843ca45d5dc",
     "merge64/FixedK(12)/seed=1" -> "044cbcce2dfcfa54c3d26e7dbaacb3faa139f2017680a9eeab680035f83afbcc",
+    "tree64/FixedK(12)/seed=1" -> "8aeb19b59934dd0617dbc0c44ed694bb1f0a107e7c3e5b9428f5d660bd1fe7f3",
     "stream/FixedK(12)/seed=2" -> "284049dd00fbb9fea8807a606f743a93f96fd96b9c06e09bb0976695a60ac559",
     "merge64/FixedK(12)/seed=2" -> "8e144b628523eee8e56650d1134489108cb78f097f6b36a58a9cb7b13e744311",
+    "tree64/FixedK(12)/seed=2" -> "4a21f59c41f14aef9e4bafe562094e9d1dbb2432b4ea7ad2e35cf27d35ac1361",
     "stream/FixedK(12)/seed=3" -> "4b21025f818e27055cc1e75763cc2a079cd6fb168d9e1edc8b04a9121bf8719a",
-    "merge64/FixedK(12)/seed=3" -> "ed41c39f1c4412a7dee09bfe005763e71453c36d9e2383de7a748b4a88fd9856"
+    "merge64/FixedK(12)/seed=3" -> "ed41c39f1c4412a7dee09bfe005763e71453c36d9e2383de7a748b4a88fd9856",
+    "tree64/FixedK(12)/seed=3" -> "58138f341a89f841dd290f9eef3a373eb2e097b1662f3bd9abee03c5ae2a1260"
   )
 
-  for ((profile, eps) <- goldenProfiles; seed <- 1 to 3; mode <- Seq("stream", "merge64")) {
+  for ((profile, eps) <- goldenProfiles; seed <- 1 to 3; mode <- Seq("stream", "merge64", "tree64")) {
     val name = s"$mode/$profile/seed=$seed"
     test(s"golden sketch state: $name") {
       val actual = goldenState(goldenSketch(profile, eps, seed, mode))
