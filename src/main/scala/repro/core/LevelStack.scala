@@ -57,11 +57,17 @@ abstract class LevelStack(val seed: Long) {
     r
   }
 
-  /** Cascade a compaction output into level h+1, creating it if needed. */
+  /** Cascade a compaction output, a sorted run, into level h+1, creating it
+    * if needed. An output that brings the level to capacity is merged in at
+    * once, since that level compacts next and would sort it anyway; any
+    * other waits in the level's tail, whose sort is deferred to its next
+    * compaction or query.
+    */
   protected def promote(out: Array[Double], h: Int): Unit = {
     if (out.isEmpty) return
     if (h + 1 == levels.size) levels += newLevel()
-    levels(h + 1).insertAll(out)
+    val up = levels(h + 1)
+    if (up.size + out.length >= up.capacity) up.mergeRun(out, out.length) else up.insertAll(out)
   }
 
   /** Single bottom-up pass of compactions on any level at or over capacity:
@@ -78,14 +84,15 @@ abstract class LevelStack(val seed: Long) {
   }
 
   /** Algorithm 4 lines 8–11: OR each of `src`'s level states into this
-    * stack's level of the same height, then append its items. `src` has no
-    * more levels than this stack.
+    * stack's level of the same height, then merge in its items as one
+    * sorted run. `src` has no more levels than this stack.
     */
   protected def absorb(src: LevelStack): Unit = {
     var h = 0
     while (h < src.levels.size) {
-      levels(h).absorbState(src.levels(h).state)
-      levels(h).insertAll(src.levels(h).toArray)
+      val from = src.levels(h)
+      levels(h).absorbState(from.state)
+      levels(h).mergeRun(from.sortedItems, from.size)
       h += 1
     }
   }

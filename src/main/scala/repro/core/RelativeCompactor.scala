@@ -27,7 +27,9 @@ import java.nio.ByteBuffer
   * runs, or random), and merges it into the prefix from the back, in the
   * total order of `java.util.Arrays.sort` (`java.lang.Double.compare`:
   * −0.0 < 0.0, NaN last), so the result equals a full sort of the buffer;
-  * the survivors are then the sorted prefix. The coin that picks odd/even
+  * the survivors are then the sorted prefix. A run that is already sorted
+  * (a merged level, or a compaction output that fills the level) skips the
+  * tail and is merged in at once by `mergeRun`. The coin that picks odd/even
   * survivors is supplied by the caller so the sketch owns a single RNG
   * stream.
   */
@@ -61,6 +63,28 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     if (len + xs.length > buf.length) grow(len + xs.length)
     System.arraycopy(xs, 0, buf, len, xs.length)
     len += xs.length
+  }
+
+  /** Merges the run `run(0 until n)`, ascending in `Double.compare` order,
+    * into the level. The pending tail is sorted first, which is the sort the
+    * next compaction would do; the run is then merged into the sorted
+    * buffer from the back, ties keeping level items below run items, so the
+    * buffer ends as one sorted run.
+    */
+  private[core] def mergeRun(run: Array[Double], n: Int): Unit = {
+    sortTail()
+    if (len + n > buf.length) grow(len + n)
+    var i = len - 1
+    var j = n - 1
+    var w = len + n - 1
+    while (j >= 0) {
+      val x = run(j)
+      if (i >= 0 && java.lang.Double.compare(buf(i), x) > 0) { buf(w) = buf(i); i -= 1 }
+      else { buf(w) = x; j -= 1 }
+      w -= 1
+    }
+    len += n
+    sorted = len
   }
 
   /** Copy of the stored items (in no particular order). */

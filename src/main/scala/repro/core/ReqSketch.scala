@@ -262,8 +262,9 @@ object ReqSketch {
     * `EOFException` when truncated, `StreamCorruptedException` for a wrong
     * magic or trailing bytes, `InvalidObjectException` for an unknown
     * version, flags or profile, or invalid parameters, counts or levels,
-    * each raised before anything is allocated for it, or for a stored weight
-    * Σ_h 2^h·size_h above `Long.MaxValue`, checked as each level is read.
+    * each raised before anything is allocated for it, or for a NaN item
+    * (which `update` never stores) or a stored weight Σ_h 2^h·size_h above
+    * `Long.MaxValue`, checked as each level is read.
     */
   def fromBytes(b: Array[Byte]): ReqSketch = {
     val in = ByteBuffer.wrap(b)
@@ -301,6 +302,8 @@ object ReqSketch {
       if (level.k != k || level.numSections != sections)
         throw new InvalidObjectException(s"level parameters (${level.k}, ${level.numSections})" +
           s" differ from the sketch's ($k, $sections)")
+      if (level.countAtMost(Double.PositiveInfinity) < level.size) // counts every item but NaN
+        throw new InvalidObjectException(s"NaN item at level $h")
       if (level.size > ((Long.MaxValue - weight) >> h))
         throw new InvalidObjectException(s"stored weight overflows a Long at level $h")
       weight += level.size.toLong << h

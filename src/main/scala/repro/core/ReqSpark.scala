@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions.{col, udaf, udf}
@@ -15,9 +17,10 @@ import org.apache.spark.sql.functions.{col, udaf, udf}
   *     DataFrame/SQL `GROUP BY` queries (Catalyst drives partial aggregation,
   *     so `merge` runs across partitions exactly as Algorithm 4 intends);
   *  2. [[ReqSpark.sketchColumn]] — explicit per-partition sketches combined
-  *     with a depth-d `treeReduce`, which realizes an *arbitrary merge tree*
-  *     (the Appendix C setting) and gives each partition an independent RNG
-  *     seed.
+  *     up a depth-d merge tree of `treeReduce`'s shape, which realizes an
+  *     *arbitrary merge tree* (the Appendix C setting) and gives each
+  *     partition an independent RNG seed. Every merge runs in a fixed order,
+  *     so a fixed seed gives the same sketch on every run.
   *
   * The UDAF's output is the sketch in its versioned binary wire format
   * ([[ReqSketch.toBytes]]: a header, then each level as one sorted run of
@@ -66,6 +69,13 @@ object ReqSpark {
     * (seeded independently), combined via a depth-`depth` tree of Algorithm-4
     * merges. Nulls/NaNs are dropped. The column is read as Catalyst rows
     * (`queryExecution.toRdd`), with no conversion to `Row`.
+    *
+    * The tree has `treeAggregate`'s shape: with P partitions and scale
+    * s = max(⌈P^(1/depth)⌉, 2), while P > s + ⌈P/s⌉ the sketches of indices
+    * i ≡ g (mod P/s) merge, in index order, into sketch g of the next level.
+    * The driver folds the last level in index order. Unlike `treeReduce`,
+    * whose merges follow task completion, the result depends only on the
+    * partitions and `seed`. It runs as one Spark job.
     */
   def sketchColumn(df: DataFrame,
                    column: String,
@@ -75,15 +85,25 @@ object ReqSpark {
                    seed: Long = 0L,
                    depth: Int = 2): ReqSketch = {
     val rows = df.select(col(column).cast("double")).queryExecution.toRdd
-    val sketches = rows.mapPartitionsWithIndex { (pid, it) =>
+    var sketches: RDD[(Int, ReqSketch)] = rows.mapPartitionsWithIndex { (pid, it) =>
       val s = ReqSketch(eps, delta, profile,
         if (seed == 0) 0L else mixSeed(seed, pid))
       it.foreach(row => if (!row.isNullAt(0)) s.update(row.getDouble(0))) // update skips NaN
-      Iterator.single(s)
+      Iterator.single((pid, s))
     }
-    // Every partition emits exactly one sketch, so this needs no Spark job.
-    if (sketches.getNumPartitions == 0) ReqSketch(eps, delta, profile, seed)
-    else sketches.treeReduce((a, b) => a.merge(b), math.max(1, depth))
+    var groups = sketches.getNumPartitions
+    val scale = math.max(math.ceil(math.pow(groups, 1.0 / math.max(1, depth))).toInt, 2)
+    while (groups > scale + math.ceil(groups.toDouble / scale)) {
+      groups /= scale
+      val g = groups
+      // Key g lands in partition g, so each level's keys are its partition indices.
+      sketches = sketches.map { case (i, s) => (i % g, (i, s)) }
+        .groupByKey(new HashPartitioner(g))
+        .mapValues(_.toSeq.sortBy(_._1).map(_._2).reduce((a, b) => a.merge(b)))
+    }
+    // Every partition emits exactly one sketch; collect() keeps partition order.
+    if (groups == 0) ReqSketch(eps, delta, profile, seed)
+    else sketches.collect().iterator.map(_._2).reduce((a, b) => a.merge(b))
   }
 
   /** UDAF over a double column returning the serialized sketch. Register

@@ -201,9 +201,11 @@ class RelativeCompactorSpec extends AnyFunSuite {
   //
   // Reference model: the multiset in a plain buffer, fully sorted on every
   // compaction, as `Arrays.sort` orders doubles (−0.0 < 0.0, NaN last). The
-  // compactor under test keeps a sorted prefix and merges in a sorted tail;
-  // every compaction output, the stored multiset and `countAtMost` must match
-  // it bit for bit, through any mix of operations and serialization.
+  // compactor under test keeps a sorted prefix and merges in a sorted tail,
+  // or merges a sorted run straight in (`mergeRun`), to which the reference
+  // just appends the run; every compaction output, the stored multiset and
+  // `countAtMost` must match it bit for bit, through any mix of operations
+  // and serialization.
 
   private val pool = Array(Double.NegativeInfinity, -1.0, -0.0, 0.0, 0.5, 1.0,
     2.0, Double.PositiveInfinity, Double.NaN)
@@ -261,6 +263,10 @@ class RelativeCompactorSpec extends AnyFunSuite {
             val st = c.state
             c = serialRoundTrip(c)
             assert(c.state == st)
+          case 11 =>
+            val xs = Array.fill(r.nextInt(3 * c.k))(draw()); java.util.Arrays.sort(xs)
+            val n = r.nextInt(xs.length + 1)
+            c.mergeRun(xs, n); ref ++= xs.take(n)
           case _ =>
         }
         assert(c.size == ref.length)
@@ -312,7 +318,7 @@ class RelativeCompactorSpec extends AnyFunSuite {
       }
 
       for (step <- 1 to 300) {
-        r.nextInt(10) match {
+        r.nextInt(11) match {
           case 0 | 1 | 2 if !runsOnly =>
             val xs = batch()
             if (r.nextBoolean()) xs.foreach(c.insert) else c.insertAll(xs)
@@ -334,6 +340,10 @@ class RelativeCompactorSpec extends AnyFunSuite {
             c.setParams(ks(r.nextInt(3)), 2 + r.nextInt(5))
           case 9 if c.size <= c.capacity =>
             c = serialRoundTrip(c)
+          case 10 =>
+            val xs = batch(); java.util.Arrays.sort(xs)
+            val n = r.nextInt(xs.length + 1)
+            c.mergeRun(xs, n); ref ++= xs.take(n)
           case _ =>
         }
         assert(c.size == ref.length)

@@ -110,6 +110,16 @@ class SerializationSpec extends AnyFunSuite {
       intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(withLevelCount(bad)))
   }
 
+  test("a level holding a NaN item fails with an InvalidObjectException") {
+    val s = ReqSketch(0.1, 0.1, seed = 19)
+    Seq(1.5, 2.5, 3.5).foreach(s.update)
+    val bytes = ReqSketch.toBytes(s)
+    assert(bytes.length == 63 + 20 + 3 * 8)
+    java.nio.ByteBuffer.wrap(bytes).putDouble(99, Double.NaN) // level 0's third item
+    val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+    assert(e.getMessage.contains("level 0"))
+  }
+
   test("truncated bytes fail with an IOException") {
     val s = ReqSketch(0.05, 0.1, seed = 20)
     s.updateAll(Workloads.uniform(50000, 21))
