@@ -168,10 +168,7 @@ def main():
                        "`git archive` copies of their commits, the parent first on the 1st, 3rd, "
                        "5th... seed of a call and the change first on the others.")
 
-    def save():
-        traced = [p for p in doc["pairs"] if p["trace"]]
-        doc["untraced_summary"] = summarize([p for p in doc["pairs"] if not p["trace"]], spec)
-        print_traced(traced)
+    def write():
         if args.out:
             with open(args.out, "w") as f:
                 json.dump(doc, f, indent=1)
@@ -184,16 +181,15 @@ def main():
             for side in order:
                 pair[side] = run(dirs[side], w, seed, seconds, args.trace)
             doc["pairs"].append(pair)
+            write()
             res = {side: pair[side]["result"] for side in SIDES}
             rate = {side: res[side]["metrics"].get("items_per_s", {}).get("value") for side in SIDES}
             print("%-14s seed %4d  %s first  items_per_s %s  failed %d/%d" % (
                 w, seed, order[0], "x%.3f" % (rate["change"] / rate["parent"]) if rate["parent"] else "-",
                 res["parent"]["failed"], res["change"]["failed"]), flush=True)
-            if args.out:
-                with open(args.out, "w") as f:
-                    json.dump(doc, f, indent=1)
-    save()
-
+    doc["untraced_summary"] = summarize([p for p in doc["pairs"] if not p["trace"]], spec)
+    print_traced([p for p in doc["pairs"] if p["trace"]])
+    write()
 
 if __name__ == "__main__":
     main()
