@@ -9,7 +9,8 @@ exports each commit with `git archive` into --work and, per workload and
 seed, runs `perfbench/run.py` once in each export, back to back: the parent
 first on the 1st, 3rd, 5th... seed and the change first on the others. Every
 run record goes into --out, which keeps the runs of earlier calls for the same
-two commits, so untraced and traced calls can share one file.
+two commits and run length, so untraced and traced calls can share one file;
+a file holding other commits or another run length is refused.
 
 It then prints, over all untraced pairs in the file, per workload and
 end-to-end metric of BENCHMARK.json: each side's median and quartiles, the
@@ -164,6 +165,9 @@ def main():
             doc = json.load(f)
         if (doc["parent_commit"], doc["change_commit"]) != (shas["parent"], shas["change"]):
             sys.exit("bench_pairs: %s holds runs of other commits" % args.out)
+        other = sorted({p["seconds"] for p in doc["pairs"]} - {seconds})
+        if other:
+            sys.exit("bench_pairs: %s holds runs of %s s, not %d s" % (args.out, other, seconds))
     doc["protocol"] = ("Each (workload, seed) is one pair: both sides run back to back from "
                        "`git archive` copies of their commits, the parent first on the 1st, 3rd, "
                        "5th... seed of a call and the change first on the others.")

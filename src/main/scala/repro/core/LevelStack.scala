@@ -58,16 +58,12 @@ abstract class LevelStack(val seed: Long) {
   }
 
   /** Cascade a compaction output, a sorted run, into level h+1, creating it
-    * if needed. An output that brings the level to capacity is merged in at
-    * once, since that level compacts next and would sort it anyway; any
-    * other waits in the level's tail, whose sort is deferred to its next
-    * compaction or query.
+    * if needed, by merging it into that level's sorted items.
     */
   protected def promote(out: Array[Double], h: Int): Unit = {
     if (out.isEmpty) return
     if (h + 1 == levels.size) levels += newLevel()
-    val up = levels(h + 1)
-    if (up.size + out.length >= up.capacity) up.mergeRun(out, out.length) else up.insertAll(out)
+    levels(h + 1).mergeRun(out, out.length)
   }
 
   /** Single bottom-up pass of compactions on any level at or over capacity:

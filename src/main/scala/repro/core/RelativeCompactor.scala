@@ -23,15 +23,14 @@ import java.nio.ByteBuffer
   *
   * Items live in a growable `Array[Double]`: a sorted prefix followed by the
   * unsorted tail inserted since the last compaction. A compaction sorts only
-  * the tail, by a kernel chosen from its shape (already sorted, a few sorted
-  * runs, or random), and merges it into the prefix from the back, in the
-  * total order of `java.util.Arrays.sort` (`java.lang.Double.compare`:
-  * −0.0 < 0.0, NaN last), so the result equals a full sort of the buffer;
-  * the survivors are then the sorted prefix. A run that is already sorted
-  * (a merged level, or a compaction output that fills the level) skips the
-  * tail and is merged in at once by `mergeRun`. The coin that picks odd/even
-  * survivors is supplied by the caller so the sketch owns a single RNG
-  * stream.
+  * the tail (left as is when already ascending, radix-sorted otherwise), and
+  * merges it into the prefix from the back, in the total order of
+  * `java.util.Arrays.sort` (`java.lang.Double.compare`: −0.0 < 0.0, NaN
+  * last), so the result equals a full sort of the buffer; the survivors are
+  * then the sorted prefix. A run that is already sorted (a merged level or a
+  * compaction output) skips the tail and is merged in at once by
+  * `mergeRun`. The coin that picks odd/even survivors is supplied by the
+  * caller so the sketch owns a single RNG stream.
   */
 final class RelativeCompactor(var k: Int, var numSections: Int) {
 
@@ -173,29 +172,24 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   }
 
   /** The tail in `Double.compare` order, as keys (`RelativeCompactor.key`)
-    * in one of the scratch arrays. One scan encodes the tail into `s.a` and
-    * counts its runs: one run is already sorted, up to `MaxRuns` runs are
-    * merged pairwise, more are radix-sorted. A short tail, or one holding a
-    * NaN (whose key order differs from `Arrays.sort`'s), is sorted by
-    * `Arrays.sort` instead.
+    * in one of the scratch arrays. One scan encodes the tail into `s.a`; an
+    * ascending tail is left as is, any other is radix-sorted. A short tail,
+    * or one holding a NaN (whose key order differs from `Arrays.sort`'s), is
+    * sorted by `Arrays.sort` instead.
     */
   private def sortedTailKeys(s: RelativeCompactor.Scratch, n: Int): Array[Long] = {
     import RelativeCompactor._
     val a = s.a
-    var runs = 1
+    var ascending = true
     var nan = false
     if (n >= SmallTail) {
       var prev = 0L // the least key
-      s.runStarts(0) = 0
       var i = 0
       while (i < n) {
         val x = buf(sorted + i)
         if (x != x) nan = true
         val k = key(x)
-        if (java.lang.Long.compareUnsigned(prev, k) > 0) {
-          if (runs < MaxRuns) s.runStarts(runs) = i
-          runs += 1
-        }
+        if (java.lang.Long.compareUnsigned(prev, k) > 0) ascending = false
         a(i) = k
         prev = k
         i += 1
@@ -206,8 +200,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
       var i = 0
       while (i < n) { a(i) = key(buf(sorted + i)); i += 1 }
       a
-    } else if (runs == 1) a
-    else if (runs <= MaxRuns) mergeRuns(s, n, runs)
+    } else if (ascending) a
     else radixSort(s, n)
   }
 
@@ -295,9 +288,6 @@ object RelativeCompactor {
   /** Tails shorter than this go to `Arrays.sort`. */
   private val SmallTail = 64
 
-  /** The most runs a tail may have to be merged rather than radix-sorted. */
-  private val MaxRuns = 8
-
   /** Order-preserving key: unsigned order of keys is `Double.compare` order
     * for every non-NaN double (−0.0 < 0.0). Bijective on bit patterns.
     */
@@ -311,14 +301,13 @@ object RelativeCompactor {
     java.lang.Double.longBitsToDouble(k ^ ((~k >> 63) | Long.MinValue))
 
   /** Per-thread sort scratch, shared by every level of every sketch the
-    * thread runs: two key arrays as long as the longest tail sorted so far,
-    * the radix histograms and the run starts.
+    * thread runs: two key arrays as long as the longest tail sorted so far
+    * and the radix histograms.
     */
   private final class Scratch {
     var a: Array[Long] = Array.emptyLongArray
     var b: Array[Long] = Array.emptyLongArray
     val counts = new Array[Int](8 * 256)
-    val runStarts = new Array[Int](MaxRuns + 1)
 
     def reserve(n: Int): Unit = if (a.length < n) {
       val size = math.max(n, math.min(2L * a.length, Int.MaxValue - 8).toInt)
@@ -328,44 +317,6 @@ object RelativeCompactor {
   }
 
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
-
-  /** Merges the `runs` sorted runs of `s.a(0 until n)` (starting at
-    * `s.runStarts`) pairwise, bottom-up, between `s.a` and `s.b`. Returns
-    * the array holding the result.
-    */
-  private def mergeRuns(s: Scratch, n: Int, runs: Int): Array[Long] = {
-    val starts = s.runStarts
-    var src = s.a
-    var dst = s.b
-    var r = runs
-    while (r > 1) {
-      starts(r) = n
-      var q = 0
-      while (q < r) {
-        val lo = starts(q)
-        if (q + 1 == r) System.arraycopy(src, lo, dst, lo, n - lo)
-        else {
-          val mid = starts(q + 1)
-          val hi = starts(q + 2)
-          var i = lo
-          var j = mid
-          var w = lo
-          while (i < mid && j < hi) {
-            if (java.lang.Long.compareUnsigned(src(i), src(j)) <= 0) { dst(w) = src(i); i += 1 }
-            else { dst(w) = src(j); j += 1 }
-            w += 1
-          }
-          System.arraycopy(src, i, dst, w, mid - i)
-          System.arraycopy(src, j, dst, w + mid - i, hi - j)
-        }
-        starts(q / 2) = lo
-        q += 2
-      }
-      r = (r + 1) / 2
-      val t = src; src = dst; dst = t
-    }
-    src
-  }
 
   /** LSD radix sort of the keys `s.a(0 until n)` on 8-bit digits, between
     * `s.a` and `s.b`: one pass builds all eight histograms, and a digit on
