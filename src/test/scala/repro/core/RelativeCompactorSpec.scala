@@ -353,4 +353,79 @@ class RelativeCompactorSpec extends AnyFunSuite {
       }
     }
   }
+
+  // ingest-scale trials. Level 0 of the benchmark's sketch (ε = 0.01,
+  // Practical, 2^22 items) has k = 164 and 19 sections. Small sorted runs
+  // (compaction outputs promoted from below) arrive many times between
+  // compactions, and now and then a run at least half the level's size (a
+  // whole level absorbed by a merge). The stream's shape decides where new
+  // items land against the stored ones: a rising stream puts them above it,
+  // so compaction ranges reach into the newest items; a falling stream puts
+  // them below, so ranges lie in the older items while the newer ones pile
+  // up; a uniform stream spreads them, so ranges take from both; and a
+  // duplicate-heavy stream (few distinct values, −0.0 and 0.0, ±∞ and one
+  // NaN bit pattern) makes ties between old and new items. Queries,
+  // `toArray` and a serialization round trip run between operations, rarely
+  // enough that runs of updates build up between them.
+  test("ingest-scale trials (k = 164, 19 sections) match a full sort") {
+    val dups = Array(Double.NegativeInfinity, -1.0, -0.0, 0.0, 0.25, 1.0,
+      Double.PositiveInfinity, Double.NaN)
+    for (shape <- Seq("rising", "falling", "uniform", "duplicates"); seed <- 1 to 3) {
+      val trial = s"$shape/$seed"
+      val r = rng(11000L + 31 * seed + shape.hashCode)
+      var (rise, fall) = (0.0, 0.0)
+      def draw(): Double = shape match {
+        case "rising"  => rise += r.nextDouble(); rise
+        case "falling" => fall -= r.nextDouble(); fall
+        case "uniform" => r.nextDouble()
+        case _         => dups(r.nextInt(dups.length))
+      }
+      def run(n: Int): Array[Double] = { val xs = Array.fill(n)(draw()); java.util.Arrays.sort(xs); xs }
+      var c = new RelativeCompactor(164, 19)
+      val ref = scala.collection.mutable.ArrayBuffer.empty[Double]
+      val (coins, refCoins) = (rng(12000L + seed), rng(12000L + seed))
+
+      def refCompact(from: Int): Array[Double] = {
+        val a = ref.toArray; java.util.Arrays.sort(a)
+        val lo = math.max(0, math.min(from, a.length))
+        if (a.length - lo <= 0) return Array.emptyDoubleArray
+        val offset = if (refCoins.nextBoolean()) 1 else 0
+        ref.clear(); ref ++= a.take(lo)
+        (lo + offset until a.length by 2).map(a(_)).toArray
+      }
+
+      for (step <- 1 to 2400) {
+        val at = s"trial $trial step $step"
+        r.nextInt(16) match {
+          case 0 | 1 | 2 =>
+            val xs = Array.fill(1 + r.nextInt(c.k))(draw())
+            if (r.nextBoolean()) xs.foreach(c.insert) else c.insertAll(xs)
+            ref ++= xs
+          case 3 | 4 | 5 | 6 | 7 | 8 =>
+            val xs = run(1 + r.nextInt(c.k / 4))
+            c.mergeRun(xs, xs.length); ref ++= xs
+          case 9 if r.nextInt(8) == 0 =>
+            val xs = run(c.size / 2 + r.nextInt(c.size / 2 + 1))
+            c.mergeRun(xs, xs.length); ref ++= xs
+          case 10 | 11 | 12 if c.isAtCapacity =>
+            val from = c.capacity - c.nextCompactionSections * c.k
+            assert(bits(c.compact(coins)) == bits(refCompact(from)), at)
+          case 13 if r.nextInt(8) == 0 =>
+            val expected =
+              if (ref.length > c.capacity / 2) refCompact(c.capacity / 2) else Array.emptyDoubleArray
+            assert(bits(c.specialCompact(coins)) == bits(expected), at)
+          case 14 if r.nextInt(4) == 0 =>
+            val stored = if (ref.isEmpty) Nil else List(ref(r.nextInt(ref.length)))
+            for (y <- dups.take(7) ++ (draw() :: stored))
+              assert(c.countAtMost(y) == ref.count(_ <= y), s"$at y=$y")
+            assert(sortedBits(c.toArray) == sortedBits(ref.toArray), at)
+          case 15 if r.nextInt(4) == 0 && c.size <= c.capacity =>
+            c = serialRoundTrip(c)
+          case _ =>
+        }
+        assert(c.size == ref.length, at)
+      }
+      assert(sortedBits(c.toArray) == sortedBits(ref.toArray), trial)
+    }
+  }
 }
