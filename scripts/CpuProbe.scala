@@ -7,7 +7,10 @@ import repro.core.{Practical, ReqSketch, ReqSpark}
   *  - `fold`: `fromBytes` and left-fold `merge` of those chunks, then
   *    `toBytes` (one `rollup` pass);
   *  - `ingest`: one sketch fed all 2^22 doubles.
-  * Prints the median over `rounds` rounds, the first two dropped as warm-up.
+  * Prints the median over `rounds` rounds, the first two dropped as warm-up,
+  * and a SHA-256 of the `toBytes` of the last round's `fold` result and
+  * `ingest` sketch, so one run per commit compares sketch state as well as
+  * time.
   *
   * Compile against a commit's main sources and run, one JVM per commit and
   * seed, with the Scala compiler in Spark's jars (from the repository root):
@@ -35,7 +38,7 @@ object CpuProbe {
       s
     }
     val times = Array.fill(3)(new Array[Double](rounds))
-    var stored = 0L
+    var (folded, ingested) = (Array.emptyByteArray, Array.emptyByteArray)
     for (r <- 0 until rounds) {
       var bytes: Array[Array[Byte]] = null
       times(0)(r) = ms {
@@ -46,12 +49,16 @@ object CpuProbe {
       times(1)(r) = ms {
         var acc = ReqSketch.fromBytes(bytes(0))
         for (i <- 1 until chunks) acc = acc.merge(ReqSketch.fromBytes(bytes(i)))
-        stored = ReqSketch.toBytes(acc).length.toLong
+        folded = ReqSketch.toBytes(acc)
       }
-      times(2)(r) = ms { stored += feed(ReqSketch(0.01, 0.05, Practical, seed), 0, data.length).itemsStored }
+      var s: ReqSketch = null
+      times(2)(r) = ms { s = feed(ReqSketch(0.01, 0.05, Practical, seed), 0, data.length) }
+      ingested = ReqSketch.toBytes(s)
     }
     def median(a: Array[Double]): Double = { val s = a.drop(2).sorted; s(s.length / 2) }
+    def sha(b: Array[Byte]): String =
+      java.security.MessageDigest.getInstance("SHA-256").digest(b).map("%02x".format(_)).mkString
     println(f"build_ms ${median(times(0))}%.1f fold_ms ${median(times(1))}%.1f " +
-      f"ingest_ms ${median(times(2))}%.1f check $stored")
+      f"ingest_ms ${median(times(2))}%.1f fold_sha256 ${sha(folded)} ingest_sha256 ${sha(ingested)}")
   }
 }

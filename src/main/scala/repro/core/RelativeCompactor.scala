@@ -21,25 +21,32 @@ import java.nio.ByteBuffer
   * compactions advance `C`; merge combines states with bitwise OR
   * (Fact 15/18).
   *
-  * Items live in a growable `Array[Double]`: a sorted prefix followed by the
-  * unsorted tail inserted since the last compaction. A compaction sorts only
-  * the tail (left as is when already ascending, radix-sorted otherwise), and
-  * merges it into the prefix from the back, in the total order of
-  * `java.util.Arrays.sort` (`java.lang.Double.compare`: −0.0 < 0.0, NaN
-  * last), so the result equals a full sort of the buffer; the survivors are
-  * then the sorted prefix. A run that is already sorted (a merged level or a
-  * compaction output) skips the tail and is merged in at once by
-  * `mergeRun`. The coin that picks odd/even survivors is supplied by the
-  * caller so the sketch owns a single RNG stream.
+  * Items live in one growable `Array[Double]`: a sorted main run, a sorted
+  * short run, then the unsorted tail inserted since the last compaction,
+  * the runs in the total order of `java.util.Arrays.sort`
+  * (`java.lang.Double.compare`: −0.0 < 0.0, NaN last). A compaction sorts
+  * only the tail (left as is when already ascending, radix-sorted
+  * otherwise) and merges it into the short run, then takes its range from
+  * the tops of both runs in one descending walk, so its output equals that
+  * of a full sort of the buffer. A run that is already sorted (a compaction
+  * output, or a merged level) is merged in at once by `mergeRun`: into the
+  * short run, or into the main run when it is at least half the main run's
+  * length. The short run folds into the main run when it reaches half the
+  * main run's length, and whenever a reader needs the level as one run. The
+  * coin that picks odd/even survivors is supplied by the caller so the
+  * sketch owns a single RNG stream.
   */
 final class RelativeCompactor(var k: Int, var numSections: Int) {
 
   require(k >= 2 && k % 2 == 0, s"section size must be even >= 2, got $k")
   require(numSections >= 2, s"need >= 2 sections, got $numSections")
 
-  /** Items: `buf(0 until sorted)` is sorted, `buf(sorted until len)` is not. */
+  /** Items: `buf(0 until main)` is the main run, `buf(main until sorted)`
+    * the short run, `buf(sorted until len)` the unsorted tail.
+    */
   private var buf: Array[Double] = Array.emptyDoubleArray
   private var len: Int = 0
+  private var main: Int = 0
   private var sorted: Int = 0
 
   /** Compaction-schedule state C (Algorithm 1 line 3). */
@@ -66,41 +73,38 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
 
   /** Merges the run `run(0 until n)`, ascending in `Double.compare` order,
     * into the level. The pending tail is sorted first, which is the sort the
-    * next compaction would do; the run is then merged into the sorted
-    * buffer from the back, ties keeping level items below run items, so the
-    * buffer ends as one sorted run.
+    * next compaction would do. A run at least half the main run's length is
+    * merged into the main run, any other into the short run.
     */
   private[core] def mergeRun(run: Array[Double], n: Int): Unit = {
     sortTail()
     if (len + n > buf.length) grow(len + n)
-    var i = len - 1
-    var j = n - 1
-    var w = len + n - 1
-    while (j >= 0) {
-      val x = run(j)
-      if (i >= 0 && java.lang.Double.compare(buf(i), x) > 0) { buf(w) = buf(i); i -= 1 }
-      else { buf(w) = x; j -= 1 }
-      w -= 1
-    }
+    if (2 * n >= main) {
+      System.arraycopy(buf, main, buf, main + n, len - main)
+      backMerge(run, n, 0, main)
+      main += n
+    } else backMerge(run, n, main, len)
     len += n
     sorted = len
+    foldIfLong()
   }
 
-  /** Copy of the stored items (in no particular order). */
-  def toArray: Array[Double] = java.util.Arrays.copyOf(buf, len)
+  /** Copy of the stored items, as one sorted run. */
+  def toArray: Array[Double] = { oneRun(); java.util.Arrays.copyOf(buf, len) }
 
-  /** The buffer with its pending tail sorted: `buf(0 until size)` is one
-    * run in `Double.compare` order. The tail sort is the one the next
-    * compaction would do, so the level's future is unchanged. Read-only.
+  /** The level as one run in `Double.compare` order, `buf(0 until size)`.
+    * The tail sort is the one the next compaction would do, and the fold
+    * leaves the multiset as it was, so the level's future is unchanged.
+    * Read-only.
     */
-  private[core] def sortedItems: Array[Double] = { sortTail(); buf }
+  private[core] def sortedItems: Array[Double] = { oneRun(); buf }
 
   /** Number of stored items ≤ y under IEEE `<=`: −0.0 and 0.0 tie, a stored
     * NaN is never counted and y = NaN counts 0. A binary search over the
-    * sorted run, on which `x <= y` holds for a prefix (NaN sorts last).
+    * level as one run, on which `x <= y` holds for a prefix (NaN sorts last).
     */
   def countAtMost(y: Double): Int = {
-    sortTail()
+    oneRun()
     var lo = 0
     var hi = len
     while (lo < hi) {
@@ -140,9 +144,13 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     else compactFrom(capacity / 2, rng)
   }
 
-  /** Compact the sorted suffix starting at 0-based index `from`; promote a
-    * uniformly random odd/even half of it (an odd-sized range promotes
-    * ⌊c/2⌋ or ⌈c/2⌉ items — unbiased, Algorithm 4 line 30).
+  /** Compact the suffix of the sorted order starting at 0-based index
+    * `from`; promote a uniformly random odd/even half of it (an odd-sized
+    * range promotes ⌊c/2⌋ or ⌈c/2⌉ items — unbiased, Algorithm 4 line 30).
+    * A range wholly in the main run is a strided copy from it; any other is
+    * walked down from the tops of both runs, equal items taking the main
+    * run's below the short run's. The short run then moves down onto what
+    * is left of the main run.
     */
   private def compactFrom(from: Int, rng: java.util.Random): Array[Double] = {
     sortTail()
@@ -151,33 +159,69 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     if (count <= 0) return Array.emptyDoubleArray
     val offset = if (rng.nextBoolean()) 1 else 0
     val out = new Array[Double]((count - offset + 1) / 2)
-    var i = lo + offset
-    var j = 0
-    while (i < len) { out(j) = buf(i); i += 2; j += 1 }
+    var i = main - 1 // the main run's highest item left
+    var j = len - 1  // the short run's highest item left
+    if (count <= main && (j < main || java.lang.Double.compare(buf(j), buf(main - count)) < 0)) {
+      var r = main - count + offset
+      var o = 0
+      while (r < main) { out(o) = buf(r); r += 2; o += 1 }
+      i = main - count - 1
+    } else {
+      var q = count - 1 - offset // rank in the range, above the coin's offset
+      while (q >= -offset) {
+        val x =
+          if (i >= 0 && (j < main || java.lang.Double.compare(buf(i), buf(j)) > 0)) { i -= 1; buf(i + 1) }
+          else { j -= 1; buf(j + 1) }
+        if ((q & 1) == 0) out(q >> 1) = x
+        q -= 1
+      }
+    }
+    System.arraycopy(buf, main, buf, i + 1, j - main + 1)
     len = lo
+    main = i + 1
     sorted = lo
     state += 1
     out
   }
 
-  /** Sorts the tail and merges it into the sorted prefix from the back. */
+  /** Sorts the tail and merges it into the short run. */
   private def sortTail(): Unit = {
     val n = len - sorted
     if (n == 0) return
     val s = RelativeCompactor.scratch.get()
     s.reserve(n)
-    val keys = sortedTailKeys(s, n)
-    mergeTail(keys)
+    backMerge(sortedTail(s, n), n, main, sorted)
     sorted = len
+    foldIfLong()
   }
 
-  /** The tail in `Double.compare` order, as keys (`RelativeCompactor.key`)
-    * in one of the scratch arrays. One scan encodes the tail into `s.a`; an
-    * ascending tail is left as is, any other is radix-sorted. A short tail,
-    * or one holding a NaN (whose key order differs from `Arrays.sort`'s), is
-    * sorted by `Arrays.sort` instead.
+  /** Folds the short run into the main run once it is half as long. */
+  private def foldIfLong(): Unit = if (2 * (sorted - main) >= main) fold()
+
+  /** Merges the short run into the main run: the level's sorted items are
+    * then one run.
     */
-  private def sortedTailKeys(s: RelativeCompactor.Scratch, n: Int): Array[Long] = {
+  private def fold(): Unit = {
+    val n = sorted - main
+    if (n > 0 && main > 0) {
+      val s = RelativeCompactor.scratch.get()
+      s.reserve(n)
+      System.arraycopy(buf, main, s.items, 0, n)
+      backMerge(s.items, n, 0, main)
+    }
+    main = sorted
+  }
+
+  /** Sorts the tail and folds: the level is one sorted run. */
+  private def oneRun(): Unit = { sortTail(); fold() }
+
+  /** The tail in `Double.compare` order, in `s.items(0 until n)`. One scan
+    * encodes the tail as keys (`RelativeCompactor.key`) into `s.a`; an
+    * ascending tail is copied as is, any other is radix-sorted. A short
+    * tail, or one holding a NaN (whose key order differs from
+    * `Arrays.sort`'s), is sorted by `Arrays.sort` instead.
+    */
+  private def sortedTail(s: RelativeCompactor.Scratch, n: Int): Array[Double] = {
     import RelativeCompactor._
     val a = s.a
     var ascending = true
@@ -195,26 +239,29 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
         i += 1
       }
     }
-    if (n < SmallTail || nan) {
-      java.util.Arrays.sort(buf, sorted, len)
+    val d = s.items
+    System.arraycopy(buf, sorted, d, 0, n)
+    if (n < SmallTail || nan) java.util.Arrays.sort(d, 0, n)
+    else if (!ascending) {
+      val keys = radixSort(s, n)
       var i = 0
-      while (i < n) { a(i) = key(buf(sorted + i)); i += 1 }
-      a
-    } else if (ascending) a
-    else radixSort(s, n)
+      while (i < n) { d(i) = item(keys(i)); i += 1 }
+    }
+    d
   }
 
-  /** Merges the tail from the back into the sorted prefix `buf(0 until
-    * sorted)`, one item at a time; `t(0 until len - sorted)` holds the
-    * tail's keys in order. Ties keep prefix items below tail items.
+  /** Merges `run(0 until n)` from the back into the sorted run
+    * `buf(lo until hi)`, which then fills `buf(lo until hi + n)`; that space
+    * must be free and `run` must not be `buf`. One item at a time, ties
+    * keeping level items below run items.
     */
-  private def mergeTail(t: Array[Long]): Unit = {
-    var i = sorted - 1
-    var j = len - sorted - 1
-    var w = len - 1
+  private def backMerge(run: Array[Double], n: Int, lo: Int, hi: Int): Unit = {
+    var i = hi - 1
+    var j = n - 1
+    var w = hi + n - 1
     while (j >= 0) {
-      val x = RelativeCompactor.item(t(j))
-      if (i >= 0 && java.lang.Double.compare(buf(i), x) > 0) { buf(w) = buf(i); i -= 1 }
+      val x = run(j)
+      if (i >= lo && java.lang.Double.compare(buf(i), x) > 0) { buf(w) = buf(i); i -= 1 }
       else { buf(w) = x; j -= 1 }
       w -= 1
     }
@@ -244,12 +291,13 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   /** Bytes `writeRecord` writes. */
   def recordBytes: Int = RelativeCompactor.RecordHeaderBytes + 8 * len
 
-  /** Writes the level record. The pending tail is sorted first: that is the
-    * sort the next compaction would do, so the level's future is unchanged
-    * and a reader never re-sorts what was sorted here.
+  /** Writes the level record. The pending tail is sorted and the short run
+    * folded first: the tail sort is the one the next compaction would do, so
+    * the level's future is unchanged and a reader never re-sorts what was
+    * sorted here.
     */
   def writeRecord(out: ByteBuffer): Unit = {
-    sortTail()
+    oneRun()
     out.putInt(k).putInt(len).putInt(numSections).putLong(state)
     out.asDoubleBuffer().put(buf, 0, len)
     out.position(out.position() + 8 * len)
@@ -279,6 +327,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     len = size
     var i = math.min(1, size)
     while (i < size && java.lang.Double.compare(buf(i - 1), buf(i)) <= 0) i += 1
+    main = i
     sorted = i
   }
 }
@@ -301,18 +350,20 @@ object RelativeCompactor {
     java.lang.Double.longBitsToDouble(k ^ ((~k >> 63) | Long.MinValue))
 
   /** Per-thread sort scratch, shared by every level of every sketch the
-    * thread runs: two key arrays as long as the longest tail sorted so far
-    * and the radix histograms.
+    * thread runs: two key arrays and an item array as long as the longest
+    * tail or short run merged so far, and the radix histograms.
     */
   private final class Scratch {
     var a: Array[Long] = Array.emptyLongArray
     var b: Array[Long] = Array.emptyLongArray
+    var items: Array[Double] = Array.emptyDoubleArray
     val counts = new Array[Int](8 * 256)
 
     def reserve(n: Int): Unit = if (a.length < n) {
       val size = math.max(n, math.min(2L * a.length, Int.MaxValue - 8).toInt)
       a = new Array[Long](size)
       b = new Array[Long](size)
+      items = new Array[Double](size)
     }
   }
 
