@@ -226,6 +226,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     val a = s.a
     var ascending = true
     var nan = false
+    var diff = 0L // the bits on which some key differs from the first
     if (n >= SmallTail) {
       var prev = 0L // the least key
       var i = 0
@@ -235,6 +236,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
         val k = key(x)
         if (java.lang.Long.compareUnsigned(prev, k) > 0) ascending = false
         a(i) = k
+        diff |= k ^ a(0)
         prev = k
         i += 1
       }
@@ -243,7 +245,8 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     System.arraycopy(buf, sorted, d, 0, n)
     if (n < SmallTail || nan) java.util.Arrays.sort(d, 0, n)
     else if (!ascending) {
-      val keys = radixSort(s, n)
+      var keys = if (n <= BucketTail) bucketSort(s, n, diff) else null
+      if (keys == null) keys = radixSort(s, n)
       var i = 0
       while (i < n) { d(i) = item(keys(i)); i += 1 }
     }
@@ -368,6 +371,53 @@ object RelativeCompactor {
   }
 
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+
+  /** Tails up to this long try `bucketSort` before the radix sort. */
+  private val BucketTail = 4096
+
+  /** Sorts the keys `s.a(0 until n)` into `s.b` by one MSD pass on the
+    * bits just below the highest bit on which they differ (`diff`), then an
+    * insertion sort, which moves no key out of its bucket. The pass takes
+    * ⌈log2 n⌉ + 2 bits, from 8 to 11, so a spread-out tail leaves about a
+    * quarter of a key per bucket. Returns `s.b`, or null, having sorted
+    * nothing, when a bucket holds more than `24 + n/32` keys.
+    */
+  private def bucketSort(s: Scratch, n: Int, diff: Long): Array[Long] = {
+    val (src, dst, counts) = (s.a, s.b, s.counts)
+    val bits = math.min(11, math.max(8, 34 - Integer.numberOfLeadingZeros(n - 1)))
+    val mask = (1 << bits) - 1
+    val shift = math.max(0, 64 - bits - java.lang.Long.numberOfLeadingZeros(diff))
+    java.util.Arrays.fill(counts, 0, mask + 1, 0)
+    var i = 0
+    while (i < n) { counts((src(i) >>> shift).toInt & mask) += 1; i += 1 }
+    val limit = 24 + n / 32
+    var sum = 0
+    var b = 0
+    while (b <= mask) {
+      val c = counts(b)
+      if (c > limit) return null
+      counts(b) = sum
+      sum += c
+      b += 1
+    }
+    i = 0
+    while (i < n) {
+      val k = src(i)
+      val slot = (k >>> shift).toInt & mask
+      dst(counts(slot)) = k
+      counts(slot) += 1
+      i += 1
+    }
+    i = 1
+    while (i < n) {
+      val k = dst(i)
+      var j = i - 1
+      while (j >= 0 && java.lang.Long.compareUnsigned(dst(j), k) > 0) { dst(j + 1) = dst(j); j -= 1 }
+      dst(j + 1) = k
+      i += 1
+    }
+    dst
+  }
 
   /** LSD radix sort of the keys `s.a(0 until n)` on 8-bit digits, between
     * `s.a` and `s.b`: one pass builds all eight histograms, and a digit on
