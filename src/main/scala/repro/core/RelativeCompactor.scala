@@ -25,10 +25,10 @@ import java.nio.ByteBuffer
   * short run, then the unsorted tail inserted since the last compaction,
   * the runs in the total order of `java.util.Arrays.sort`
   * (`java.lang.Double.compare`: −0.0 < 0.0, NaN last). A compaction sorts
-  * only the tail (left as is when already ascending, radix-sorted
-  * otherwise) and merges it into the short run, then takes its range from
-  * the tops of both runs in one descending walk, so its output equals that
-  * of a full sort of the buffer. A run that is already sorted (a compaction
+  * only the tail (left as is when already ascending, bucket- or
+  * radix-sorted otherwise) and merges it into the short run, then takes
+  * its range from the tops of both runs in one descending walk, so its
+  * output equals that of a full sort of the buffer. A run that is already sorted (a compaction
   * output, or a merged level) is merged in at once by `mergeRun`: into the
   * short run, or into the main run when it is at least half the main run's
   * length. The short run folds into the main run when it reaches half the
@@ -217,9 +217,10 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
 
   /** The tail in `Double.compare` order, in `s.items(0 until n)`. One scan
     * encodes the tail as keys (`RelativeCompactor.key`) into `s.a`; an
-    * ascending tail is copied as is, any other is radix-sorted. A short
-    * tail, or one holding a NaN (whose key order differs from
-    * `Arrays.sort`'s), is sorted by `Arrays.sort` instead.
+    * ascending tail is copied as is, any other goes to `bucketSort` and,
+    * when that declines, to the radix sort. A short tail, or one holding a
+    * NaN (whose key order differs from `Arrays.sort`'s), is sorted by
+    * `Arrays.sort` instead.
     */
   private def sortedTail(s: RelativeCompactor.Scratch, n: Int): Array[Double] = {
     import RelativeCompactor._
@@ -375,9 +376,9 @@ object RelativeCompactor {
   /** Tails up to this long try `bucketSort` before the radix sort. */
   private val BucketTail = 4096
 
-  /** Sorts the keys `s.a(0 until n)` into `s.b` by one MSD pass on the
-    * bits just below the highest bit on which they differ (`diff`), then an
-    * insertion sort, which moves no key out of its bucket. The pass takes
+  /** Sorts the keys `s.a(0 until n)` into `s.b` by one MSD pass on a digit
+    * that starts at the highest bit on which they differ (`diff`), then an
+    * insertion sort, which moves no key out of its bucket. The digit has
     * ⌈log2 n⌉ + 2 bits, from 8 to 11, so a spread-out tail leaves about a
     * quarter of a key per bucket. Returns `s.b`, or null, having sorted
     * nothing, when a bucket holds more than `24 + n/32` keys.

@@ -201,11 +201,11 @@ class RelativeCompactorSpec extends AnyFunSuite {
   //
   // Reference model: the multiset in a plain buffer, fully sorted on every
   // compaction, as `Arrays.sort` orders doubles (−0.0 < 0.0, NaN last). The
-  // compactor under test keeps a sorted prefix and merges in a sorted tail,
-  // or merges a sorted run straight in (`mergeRun`), to which the reference
-  // just appends the run; every compaction output, the stored multiset and
-  // `countAtMost` must match it bit for bit, through any mix of operations
-  // and serialization.
+  // compactor under test keeps a main and a short sorted run, merges its
+  // sorted tail into the short run, and merges a sorted run straight in
+  // (`mergeRun`), to which the reference just appends the run; every
+  // compaction output, the stored multiset and `countAtMost` must match it
+  // bit for bit, through any mix of operations and serialization.
 
   private val pool = Array(Double.NegativeInfinity, -1.0, -0.0, 0.0, 0.5, 1.0,
     2.0, Double.PositiveInfinity, Double.NaN)
@@ -278,9 +278,9 @@ class RelativeCompactorSpec extends AnyFunSuite {
   }
 
   // Large sections make tails of hundreds of items, so compactions reach the
-  // radix sort (random tails), the run merge (tails of a few ascending
-  // batches), the back-merge into short and long prefixes and the NaN
-  // fallback. A trial holds at most one NaN bit pattern (a third hold none):
+  // bucket sort (spread-out tails), the radix sort (tails it declines: many
+  // equal or clustered keys), the back-merge into short and long runs and
+  // the NaN fallback. A trial holds at most one NaN bit pattern (a third hold none):
   // `Arrays.sort` leaves NaNs with different payloads in no defined order
   // among themselves.
   test("sort kernels match a full sort bit for bit at large k") {
