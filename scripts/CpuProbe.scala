@@ -1,4 +1,4 @@
-import repro.core.{Practical, ReqSketch, ReqSpark}
+import repro.core.{Practical, RelativeCompactor, ReqSketch, ReqSpark}
 
 /** Thread CPU time of the sketch work in perfbench's `ingest` and `rollup`,
   * without their data generation, checks and JVM start-up:
@@ -6,7 +6,14 @@ import repro.core.{Practical, ReqSketch, ReqSpark}
   *    with `toBytes` (`rollup`'s set-up);
   *  - `fold`: `fromBytes` and left-fold `merge` of those chunks, then
   *    `toBytes` (one `rollup` pass);
-  *  - `ingest`: one sketch fed all 2^22 doubles.
+  *  - `ingest`: one sketch fed all 2^22 doubles;
+  *  - `level0`: one `RelativeCompactor` of `ingest`'s level-0 size (k = 164,
+  *    19 sections) fed all 2^22 doubles, compacting whenever full, its
+  *    outputs dropped: the tail sort and compaction without the levels above.
+  * The doubles are uniform in [0, 1) unless a third argument names another
+  * stream, which feeds the sort kernels tails of another shape:
+  *  - `clustered`: 1 in 64 uniform, the rest in [0.5, 0.5 + 1e-9);
+  *  - `dups`: the integers 0 to 7.
   * Prints the median over `rounds` rounds, the first two dropped as warm-up,
   * and a SHA-256 of the `toBytes` of the last round's `fold` result and
   * `ingest` sketch, so one run per commit compares sketch state as well as
@@ -18,7 +25,7 @@ import repro.core.{Practical, ReqSketch, ReqSpark}
   * mkdir -p .bench_build/probe
   * java -cp "$SPARK_HOME/jars/"\* scala.tools.nsc.Main -usejavacp -d .bench_build/probe \
   *   $(find src/main/scala -name '*.scala') scripts/CpuProbe.scala
-  * java -Xmx2g -cp .bench_build/probe:"$SPARK_HOME/jars/"\* CpuProbe <seed> <rounds>
+  * java -Xmx2g -cp .bench_build/probe:"$SPARK_HOME/jars/"\* CpuProbe <seed> <rounds> [stream]
   * }}}
   */
 object CpuProbe {
@@ -27,7 +34,12 @@ object CpuProbe {
     val rounds = args(1).toInt
     val (chunks, c) = (256, 1 << 14)
     val rng = new java.util.Random(seed)
-    val data = Array.fill(chunks * c)(rng.nextDouble())
+    val next: () => Double = args.lift(2).getOrElse("uniform") match {
+      case "uniform" => () => rng.nextDouble()
+      case "clustered" => () => if (rng.nextInt(64) == 0) rng.nextDouble() else 0.5 + 1e-9 * rng.nextDouble()
+      case "dups" => () => rng.nextInt(8).toDouble
+    }
+    val data = Array.fill(chunks * c)(next())
     val mx = java.lang.management.ManagementFactory.getThreadMXBean
     def ms(f: => Unit): Double = {
       val t0 = mx.getCurrentThreadCpuTime; f; (mx.getCurrentThreadCpuTime - t0) / 1e6
@@ -37,7 +49,7 @@ object CpuProbe {
       while (i < until) { s.update(data(i)); i += 1 }
       s
     }
-    val times = Array.fill(3)(new Array[Double](rounds))
+    val times = Array.fill(4)(new Array[Double](rounds))
     var (folded, ingested) = (Array.emptyByteArray, Array.emptyByteArray)
     for (r <- 0 until rounds) {
       var bytes: Array[Array[Byte]] = null
@@ -54,11 +66,17 @@ object CpuProbe {
       var s: ReqSketch = null
       times(2)(r) = ms { s = feed(ReqSketch(0.01, 0.05, Practical, seed), 0, data.length) }
       ingested = ReqSketch.toBytes(s)
+      val coin = new java.util.Random(seed)
+      times(3)(r) = ms {
+        val level = new RelativeCompactor(164, 19)
+        var i = 0
+        while (i < data.length) { level.insert(data(i)); if (level.isAtCapacity) level.compact(coin); i += 1 }
+      }
     }
     def median(a: Array[Double]): Double = { val s = a.drop(2).sorted; s(s.length / 2) }
     def sha(b: Array[Byte]): String =
       java.security.MessageDigest.getInstance("SHA-256").digest(b).map("%02x".format(_)).mkString
     println(f"build_ms ${median(times(0))}%.1f fold_ms ${median(times(1))}%.1f " +
-      f"ingest_ms ${median(times(2))}%.1f fold_sha256 ${sha(folded)} ingest_sha256 ${sha(ingested)}")
+      f"ingest_ms ${median(times(2))}%.1f level0_ms ${median(times(3))}%.1f fold_sha256 ${sha(folded)} ingest_sha256 ${sha(ingested)}")
   }
 }

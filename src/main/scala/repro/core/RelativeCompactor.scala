@@ -189,7 +189,8 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     val n = len - sorted
     if (n == 0) return
     val s = RelativeCompactor.scratch.get()
-    s.reserve(n)
+    s.reserveKeys(n)
+    s.reserveItems(n)
     backMerge(sortedTail(s, n), n, main, sorted)
     sorted = len
     foldIfLong()
@@ -205,7 +206,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     val n = sorted - main
     if (n > 0 && main > 0) {
       val s = RelativeCompactor.scratch.get()
-      s.reserve(n)
+      s.reserveItems(n)
       System.arraycopy(buf, main, s.items, 0, n)
       backMerge(s.items, n, 0, main)
     }
@@ -354,8 +355,9 @@ object RelativeCompactor {
     java.lang.Double.longBitsToDouble(k ^ ((~k >> 63) | Long.MinValue))
 
   /** Per-thread sort scratch, shared by every level of every sketch the
-    * thread runs: two key arrays and an item array as long as the longest
-    * tail or short run merged so far, and the radix histograms.
+    * thread runs: two key arrays as long as the longest tail sorted so far,
+    * an item array as long as the longest tail or short run merged so far,
+    * and the radix histograms.
     */
   private final class Scratch {
     var a: Array[Long] = Array.emptyLongArray
@@ -363,12 +365,18 @@ object RelativeCompactor {
     var items: Array[Double] = Array.emptyDoubleArray
     val counts = new Array[Int](8 * 256)
 
-    def reserve(n: Int): Unit = if (a.length < n) {
-      val size = math.max(n, math.min(2L * a.length, Int.MaxValue - 8).toInt)
-      a = new Array[Long](size)
-      b = new Array[Long](size)
-      items = new Array[Double](size)
+    /** Grows the key arrays to hold at least `n` keys. */
+    def reserveKeys(n: Int): Unit = if (a.length < n) {
+      a = new Array[Long](grown(a.length, n))
+      b = new Array[Long](a.length)
     }
+
+    /** Grows the item array to hold at least `n` items. */
+    def reserveItems(n: Int): Unit =
+      if (items.length < n) items = new Array[Double](grown(items.length, n))
+
+    private def grown(length: Int, n: Int): Int =
+      math.max(n, math.min(2L * length, Int.MaxValue - 8).toInt)
   }
 
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
@@ -381,22 +389,27 @@ object RelativeCompactor {
     * insertion sort, which moves no key out of its bucket. The digit has
     * ⌈log2 n⌉ + 2 bits, from 8 to 11, so a spread-out tail leaves about a
     * quarter of a key per bucket. Returns `s.b`, or null, having sorted
-    * nothing, when a bucket holds more than `24 + n/32` keys.
+    * nothing, as soon as a bucket holds more than `24 + n/32` keys: a
+    * clustered tail is declined after about that many keys, not a full pass.
     */
   private def bucketSort(s: Scratch, n: Int, diff: Long): Array[Long] = {
     val (src, dst, counts) = (s.a, s.b, s.counts)
     val bits = math.min(11, math.max(8, 34 - Integer.numberOfLeadingZeros(n - 1)))
     val mask = (1 << bits) - 1
     val shift = math.max(0, 64 - bits - java.lang.Long.numberOfLeadingZeros(diff))
+    val limit = 24 + n / 32
     java.util.Arrays.fill(counts, 0, mask + 1, 0)
     var i = 0
-    while (i < n) { counts((src(i) >>> shift).toInt & mask) += 1; i += 1 }
-    val limit = 24 + n / 32
+    while (i < n) {
+      val slot = (src(i) >>> shift).toInt & mask
+      counts(slot) += 1
+      if (counts(slot) > limit) return null
+      i += 1
+    }
     var sum = 0
     var b = 0
     while (b <= mask) {
       val c = counts(b)
-      if (c > limit) return null
       counts(b) = sum
       sum += c
       b += 1
