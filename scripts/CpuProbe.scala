@@ -5,7 +5,9 @@ import repro.core.{Practical, RelativeCompactor, ReqSketch, ReqSpark}
   *  - `build`: 256 chunk sketches of 2^14 uniform doubles each, each encoded
   *    with `toBytes` (`rollup`'s set-up);
   *  - `fold`: `fromBytes` and left-fold `merge` of those chunks, then
-  *    `toBytes` (one `rollup` pass);
+  *    `toBytes` (one `rollup` pass), split into `decode` (every
+  *    `fromBytes`), `merge` (every `merge`) and `encode` (the `toBytes`), so
+  *    a `rollup` change can be pinned to a layer;
   *  - `ingest`: one sketch fed all 2^22 doubles;
   *  - `level0`: one `RelativeCompactor` of `ingest`'s level-0 size (k = 164,
   *    19 sections) fed all 2^22 doubles, compacting whenever full, its
@@ -49,7 +51,7 @@ object CpuProbe {
       while (i < until) { s.update(data(i)); i += 1 }
       s
     }
-    val times = Array.fill(4)(new Array[Double](rounds))
+    val times = Array.fill(7)(new Array[Double](rounds)) // build, fold, decode, merge, encode, ingest, level0
     var (folded, ingested) = (Array.emptyByteArray, Array.emptyByteArray)
     for (r <- 0 until rounds) {
       var bytes: Array[Array[Byte]] = null
@@ -59,15 +61,19 @@ object CpuProbe {
         }
       }
       times(1)(r) = ms {
-        var acc = ReqSketch.fromBytes(bytes(0))
-        for (i <- 1 until chunks) acc = acc.merge(ReqSketch.fromBytes(bytes(i)))
-        folded = ReqSketch.toBytes(acc)
+        var acc: ReqSketch = null
+        for (i <- 0 until chunks) {
+          var chunk: ReqSketch = null
+          times(2)(r) += ms { chunk = ReqSketch.fromBytes(bytes(i)) }
+          times(3)(r) += ms { acc = if (acc == null) chunk else acc.merge(chunk) }
+        }
+        times(4)(r) = ms { folded = ReqSketch.toBytes(acc) }
       }
       var s: ReqSketch = null
-      times(2)(r) = ms { s = feed(ReqSketch(0.01, 0.05, Practical, seed), 0, data.length) }
+      times(5)(r) = ms { s = feed(ReqSketch(0.01, 0.05, Practical, seed), 0, data.length) }
       ingested = ReqSketch.toBytes(s)
       val coin = new java.util.Random(seed)
-      times(3)(r) = ms {
+      times(6)(r) = ms {
         val level = new RelativeCompactor(164, 19)
         var i = 0
         while (i < data.length) { level.insert(data(i)); if (level.isAtCapacity) level.compact(coin); i += 1 }
@@ -76,7 +82,8 @@ object CpuProbe {
     def median(a: Array[Double]): Double = { val s = a.drop(2).sorted; s(s.length / 2) }
     def sha(b: Array[Byte]): String =
       java.security.MessageDigest.getInstance("SHA-256").digest(b).map("%02x".format(_)).mkString
-    println(f"build_ms ${median(times(0))}%.1f fold_ms ${median(times(1))}%.1f " +
-      f"ingest_ms ${median(times(2))}%.1f level0_ms ${median(times(3))}%.1f fold_sha256 ${sha(folded)} ingest_sha256 ${sha(ingested)}")
+    val names = Seq("build", "fold", "decode", "merge", "encode", "ingest", "level0")
+    println(names.zip(times).map { case (n, t) => f"${n}_ms ${median(t)}%.1f" }.mkString(" ") +
+      s" fold_sha256 ${sha(folded)} ingest_sha256 ${sha(ingested)}")
   }
 }

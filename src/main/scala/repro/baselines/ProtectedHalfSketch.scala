@@ -53,7 +53,7 @@ final class ProtectedHalfSketch(val bufferCapacity: Int, seed: Long) extends Lev
 
   protected def newLevel(): RelativeCompactor = new RelativeCompactor(2, bufferCapacity / 4)
 
-  protected def compactFull(level: RelativeCompactor): Array[Double] = level.specialCompact(rng)
+  protected def compactionStart(level: RelativeCompactor): Int = level.capacity / 2
 }
 
 object ProtectedHalfSketch {

@@ -10,7 +10,8 @@ import scala.collection.mutable.ArrayBuffer
   * weighted rank, the bottom-up compaction cascade and the level-by-level
   * merge.
   *
-  * A subclass supplies `newLevel()` and the compaction a full level runs,
+  * A subclass supplies `newLevel()` and where a full level's compaction
+  * starts,
   * and appends its own first level once the parameters `newLevel()` reads
   * are set.
   *
@@ -28,10 +29,10 @@ abstract class LevelStack(val seed: Long) {
   /** An empty level with the stack's current parameters. */
   protected def newLevel(): RelativeCompactor
 
-  /** The compaction a level at or over capacity runs; returns the items it
-    * promotes.
+  /** Index, in the sorted order of a level at or over capacity, where the
+    * range its compaction removes starts.
     */
-  protected def compactFull(level: RelativeCompactor): Array[Double]
+  protected def compactionStart(level: RelativeCompactor): Int
 
   /** Stream one item into the sketch. */
   def update(x: Double): Unit
@@ -57,14 +58,15 @@ abstract class LevelStack(val seed: Long) {
     r
   }
 
-  /** Cascade a compaction output, a sorted run, into level h+1, creating it
-    * if needed, by merging it into that level's sorted items.
+  /** Compacts level h from index `from` of its sorted order and cascades
+    * the output, a sorted run of keys, into level h+1, creating it if
+    * needed, by merging it into that level's sorted keys.
     */
-  protected def promote(out: Array[Double], h: Int): Unit = {
-    if (out.isEmpty) return
-    if (h + 1 == levels.size) levels += newLevel()
-    levels(h + 1).mergeRun(out, out.length)
-  }
+  protected def promote(h: Int, from: Int): Unit =
+    levels(h).compactInto(from, rng) {
+      if (h + 1 == levels.size) levels += newLevel()
+      levels(h + 1)
+    }
 
   /** Single bottom-up pass of compactions on any level at or over capacity:
     * the update cascade (Algorithm 2) and Algorithm 4 lines 12–17. One
@@ -74,7 +76,7 @@ abstract class LevelStack(val seed: Long) {
   protected def compressAll(): Unit = {
     var h = 0
     while (h < levels.size) {
-      while (levels(h).isAtCapacity) promote(compactFull(levels(h)), h)
+      while (levels(h).isAtCapacity) promote(h, compactionStart(levels(h)))
       h += 1
     }
   }
@@ -88,7 +90,7 @@ abstract class LevelStack(val seed: Long) {
     while (h < src.levels.size) {
       val from = src.levels(h)
       levels(h).absorbState(from.state)
-      levels(h).mergeRun(from.sortedItems, from.size)
+      levels(h).mergeKeys(from.sortedKeys, from.size)
       h += 1
     }
   }

@@ -21,30 +21,34 @@ import java.nio.ByteBuffer
   * compactions advance `C`; merge combines states with bitwise OR
   * (Fact 15/18).
   *
-  * Items live in one growable `Array[Double]`: a sorted main run, a sorted
-  * short run, then the unsorted tail inserted since the last compaction,
-  * the runs in the total order of `java.util.Arrays.sort`
-  * (`java.lang.Double.compare`: −0.0 < 0.0, NaN last). A compaction sorts
+  * Items live in one growable `Array[Long]` of keys (`RelativeCompactor.key`),
+  * whose signed order is the total order of `java.util.Arrays.sort` on
+  * doubles (−0.0 < 0.0, NaN last): a sorted main run, a sorted short run,
+  * then the unsorted tail inserted since the last compaction. `insert` and
+  * `insertAll` encode; every merge, walk and search compares keys as longs,
+  * and only the API edge (`compact`, `specialCompact`, `toArray`,
+  * `mergeRun`, the level record) decodes or encodes. A compaction sorts
   * only the tail (left as is when already ascending, bucket- or
   * radix-sorted otherwise) and merges it into the short run, then takes
   * its range from the tops of both runs in one descending walk, so its
-  * output equals that of a full sort of the buffer. A run that is already sorted (a compaction
-  * output, or a merged level) is merged in at once by `mergeRun`: into the
-  * short run, or into the main run when it is at least half the main run's
-  * length. The short run folds into the main run when it reaches half the
-  * main run's length, and whenever a reader needs the level as one run. The
-  * coin that picks odd/even survivors is supplied by the caller so the
-  * sketch owns a single RNG stream.
+  * output equals that of a full sort of the buffer. A run that is already
+  * sorted (a compaction output, or a merged level) is merged in at once by
+  * `mergeKeys`: into the short run, or into the main run when it is at
+  * least half the main run's length. The short run folds into the main run
+  * when it reaches half the main run's length, and whenever a reader needs
+  * the level as one run. The coin that picks odd/even survivors is supplied
+  * by the caller so the sketch owns a single RNG stream.
   */
 final class RelativeCompactor(var k: Int, var numSections: Int) {
+  import RelativeCompactor._
 
   require(k >= 2 && k % 2 == 0, s"section size must be even >= 2, got $k")
   require(numSections >= 2, s"need >= 2 sections, got $numSections")
 
-  /** Items: `buf(0 until main)` is the main run, `buf(main until sorted)`
+  /** Keys: `buf(0 until main)` is the main run, `buf(main until sorted)`
     * the short run, `buf(sorted until len)` the unsorted tail.
     */
-  private var buf: Array[Double] = Array.emptyDoubleArray
+  private var buf: Array[Long] = Array.emptyLongArray
   private var len: Int = 0
   private var main: Int = 0
   private var sorted: Int = 0
@@ -61,22 +65,33 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
 
   def insert(x: Double): Unit = {
     if (len == buf.length) grow(len + 1)
-    buf(len) = x
+    buf(len) = key(x)
     len += 1
   }
 
   def insertAll(xs: Array[Double]): Unit = {
     if (len + xs.length > buf.length) grow(len + xs.length)
-    System.arraycopy(xs, 0, buf, len, xs.length)
+    var i = 0
+    while (i < xs.length) { buf(len + i) = key(xs(i)); i += 1 }
     len += xs.length
   }
 
-  /** Merges the run `run(0 until n)`, ascending in `Double.compare` order,
-    * into the level. The pending tail is sorted first, which is the sort the
-    * next compaction would do. A run at least half the main run's length is
-    * merged into the main run, any other into the short run.
+  /** Merges the run `run(0 until n)`, ascending in `Arrays.sort` order,
+    * into the level (`mergeKeys` on its keys).
     */
   private[core] def mergeRun(run: Array[Double], n: Int): Unit = {
+    val keys = new Array[Long](n)
+    var i = 0
+    while (i < n) { keys(i) = key(run(i)); i += 1 }
+    mergeKeys(keys, n)
+  }
+
+  /** Merges the ascending keys `run(0 until n)` into the level. The pending
+    * tail is sorted first, which is the sort the next compaction would do. A
+    * run at least half the main run's length is merged into the main run,
+    * any other into the short run.
+    */
+  private[core] def mergeKeys(run: Array[Long], n: Int): Unit = {
     sortTail()
     if (len + n > buf.length) grow(len + n)
     if (2 * n >= main) {
@@ -90,26 +105,28 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   }
 
   /** Copy of the stored items, as one sorted run. */
-  def toArray: Array[Double] = { oneRun(); java.util.Arrays.copyOf(buf, len) }
+  def toArray: Array[Double] = { oneRun(); decoded(buf, len) }
 
-  /** The level as one run in `Double.compare` order, `buf(0 until size)`.
-    * The tail sort is the one the next compaction would do, and the fold
-    * leaves the multiset as it was, so the level's future is unchanged.
-    * Read-only.
+  /** The level as one ascending run of keys, `buf(0 until size)`. The tail
+    * sort is the one the next compaction would do, and the fold leaves the
+    * multiset as it was, so the level's future is unchanged. Read-only.
     */
-  private[core] def sortedItems: Array[Double] = { oneRun(); buf }
+  private[core] def sortedKeys: Array[Long] = { oneRun(); buf }
 
   /** Number of stored items ≤ y under IEEE `<=`: −0.0 and 0.0 tie, a stored
-    * NaN is never counted and y = NaN counts 0. A binary search over the
-    * level as one run, on which `x <= y` holds for a prefix (NaN sorts last).
+    * NaN is never counted and y = NaN counts 0. A binary search for the key
+    * of y (of 0.0 when y is −0.0) over the level as one run; NaN keys sort
+    * above every other.
     */
   def countAtMost(y: Double): Int = {
+    if (y != y) return 0
     oneRun()
+    val ky = key(if (y == 0.0) 0.0 else y)
     var lo = 0
     var hi = len
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
-      if (buf(mid) <= y) lo = mid + 1 else hi = mid
+      if (buf(mid) <= ky) lo = mid + 1 else hi = mid
     }
     lo
   }
@@ -125,6 +142,11 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   def nextCompactionSections: Int =
     math.min(trailingOnes(state) + 1, math.max(1, numSections - 1))
 
+  /** Index, in the sorted order, where the next scheduled compaction's
+    * range starts: `B − L`.
+    */
+  private[core] def scheduledStart: Int = capacity - nextCompactionSections * k
+
   /** Scheduled compaction (Algorithm 1 lines 6–13 / Algorithm 4 line 17).
     * Pre-condition: `size >= capacity`. Returns the promoted items (half of
     * the compacted range, odd or even indexed uniformly at random); the
@@ -132,7 +154,9 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     */
   def compact(rng: java.util.Random): Array[Double] = {
     require(isAtCapacity, s"compact() called on non-full buffer ($size < $capacity)")
-    compactFrom(capacity - nextCompactionSections * k, rng)
+    val s = scratch.get()
+    val n = compactFrom(scheduledStart, rng, s) // may grow `s.out`
+    decoded(s.out, n)
   }
 
   /** Special compaction (Appendix C): keep only the B/2 smallest items,
@@ -140,28 +164,42 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     * when at most B/2 items are stored.
     */
   def specialCompact(rng: java.util.Random): Array[Double] = {
-    if (len <= capacity / 2) Array.emptyDoubleArray
-    else compactFrom(capacity / 2, rng)
+    val s = scratch.get()
+    val n = compactFrom(capacity / 2, rng, s)
+    decoded(s.out, n)
+  }
+
+  /** Compacts from sorted index `from` as `compactFrom` does, and merges
+    * the promoted keys into `above`, which is evaluated only when the
+    * compaction promotes some.
+    */
+  private[core] def compactInto(from: Int, rng: java.util.Random)(above: => RelativeCompactor): Unit = {
+    val s = scratch.get()
+    val n = compactFrom(from, rng, s)
+    if (n > 0) above.mergeKeys(s.out, n)
   }
 
   /** Compact the suffix of the sorted order starting at 0-based index
     * `from`; promote a uniformly random odd/even half of it (an odd-sized
-    * range promotes ⌊c/2⌋ or ⌈c/2⌉ items — unbiased, Algorithm 4 line 30).
-    * A range wholly in the main run is a strided copy from it; any other is
-    * walked down from the tops of both runs, equal items taking the main
-    * run's below the short run's. The short run then moves down onto what
-    * is left of the main run.
+    * range promotes ⌊c/2⌋ or ⌈c/2⌉ items — unbiased, Algorithm 4 line 30)
+    * into `s.out`, and return how many. An empty range is a no-op that
+    * leaves the state as it is. A range wholly in the main run is a strided
+    * copy from it; any other is walked down from the tops of both runs,
+    * equal keys taking the main run's below the short run's. The short run
+    * then moves down onto what is left of the main run.
     */
-  private def compactFrom(from: Int, rng: java.util.Random): Array[Double] = {
-    sortTail()
+  private def compactFrom(from: Int, rng: java.util.Random, s: Scratch): Int = {
     val lo = math.max(0, math.min(from, len))
     val count = len - lo
-    if (count <= 0) return Array.emptyDoubleArray
+    if (count <= 0) return 0
+    sortTail()
     val offset = if (rng.nextBoolean()) 1 else 0
-    val out = new Array[Double]((count - offset + 1) / 2)
-    var i = main - 1 // the main run's highest item left
-    var j = len - 1  // the short run's highest item left
-    if (count <= main && (j < main || java.lang.Double.compare(buf(j), buf(main - count)) < 0)) {
+    val n = (count - offset + 1) / 2
+    s.reserveOut(n)
+    val out = s.out
+    var i = main - 1 // the main run's highest key left
+    var j = len - 1  // the short run's highest key left
+    if (count <= main && (j < main || buf(j) < buf(main - count))) {
       var r = main - count + offset
       var o = 0
       while (r < main) { out(o) = buf(r); r += 2; o += 1 }
@@ -170,7 +208,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
       var q = count - 1 - offset // rank in the range, above the coin's offset
       while (q >= -offset) {
         val x =
-          if (i >= 0 && (j < main || java.lang.Double.compare(buf(i), buf(j)) > 0)) { i -= 1; buf(i + 1) }
+          if (i >= 0 && (j < main || buf(i) > buf(j))) { i -= 1; buf(i + 1) }
           else { j -= 1; buf(j + 1) }
         if ((q & 1) == 0) out(q >> 1) = x
         q -= 1
@@ -181,17 +219,17 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     main = i + 1
     sorted = lo
     state += 1
-    out
+    n
   }
 
   /** Sorts the tail and merges it into the short run. */
   private def sortTail(): Unit = {
     val n = len - sorted
     if (n == 0) return
-    val s = RelativeCompactor.scratch.get()
+    val s = scratch.get()
     s.reserveKeys(n)
-    s.reserveItems(n)
-    backMerge(sortedTail(s, n), n, main, sorted)
+    System.arraycopy(buf, sorted, s.a, 0, n)
+    backMerge(sortKeys(s, n), n, main, sorted)
     sorted = len
     foldIfLong()
   }
@@ -199,16 +237,16 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   /** Folds the short run into the main run once it is half as long. */
   private def foldIfLong(): Unit = if (2 * (sorted - main) >= main) fold()
 
-  /** Merges the short run into the main run: the level's sorted items are
+  /** Merges the short run into the main run: the level's sorted keys are
     * then one run.
     */
   private def fold(): Unit = {
     val n = sorted - main
     if (n > 0 && main > 0) {
-      val s = RelativeCompactor.scratch.get()
-      s.reserveItems(n)
-      System.arraycopy(buf, main, s.items, 0, n)
-      backMerge(s.items, n, 0, main)
+      val s = scratch.get()
+      s.reserveRun(n)
+      System.arraycopy(buf, main, s.run, 0, n)
+      backMerge(s.run, n, 0, main)
     }
     main = sorted
   }
@@ -216,57 +254,18 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   /** Sorts the tail and folds: the level is one sorted run. */
   private def oneRun(): Unit = { sortTail(); fold() }
 
-  /** The tail in `Double.compare` order, in `s.items(0 until n)`. One scan
-    * encodes the tail as keys (`RelativeCompactor.key`) into `s.a`; an
-    * ascending tail is copied as is, any other goes to `bucketSort` and,
-    * when that declines, to the radix sort. A short tail, or one holding a
-    * NaN (whose key order differs from `Arrays.sort`'s), is sorted by
-    * `Arrays.sort` instead.
-    */
-  private def sortedTail(s: RelativeCompactor.Scratch, n: Int): Array[Double] = {
-    import RelativeCompactor._
-    val a = s.a
-    var ascending = true
-    var nan = false
-    var diff = 0L // the bits on which some key differs from the first
-    if (n >= SmallTail) {
-      var prev = 0L // the least key
-      var i = 0
-      while (i < n) {
-        val x = buf(sorted + i)
-        if (x != x) nan = true
-        val k = key(x)
-        if (java.lang.Long.compareUnsigned(prev, k) > 0) ascending = false
-        a(i) = k
-        diff |= k ^ a(0)
-        prev = k
-        i += 1
-      }
-    }
-    val d = s.items
-    System.arraycopy(buf, sorted, d, 0, n)
-    if (n < SmallTail || nan) java.util.Arrays.sort(d, 0, n)
-    else if (!ascending) {
-      var keys = if (n <= BucketTail) bucketSort(s, n, diff) else null
-      if (keys == null) keys = radixSort(s, n)
-      var i = 0
-      while (i < n) { d(i) = item(keys(i)); i += 1 }
-    }
-    d
-  }
-
   /** Merges `run(0 until n)` from the back into the sorted run
     * `buf(lo until hi)`, which then fills `buf(lo until hi + n)`; that space
-    * must be free and `run` must not be `buf`. One item at a time, ties
-    * keeping level items below run items.
+    * must be free and `run` must not be `buf`. One key at a time, ties
+    * keeping level keys below run keys.
     */
-  private def backMerge(run: Array[Double], n: Int, lo: Int, hi: Int): Unit = {
+  private def backMerge(run: Array[Long], n: Int, lo: Int, hi: Int): Unit = {
     var i = hi - 1
     var j = n - 1
     var w = hi + n - 1
     while (j >= 0) {
       val x = run(j)
-      if (i >= lo && java.lang.Double.compare(buf(i), x) > 0) { buf(w) = buf(i); i -= 1 }
+      if (i >= lo && buf(i) > x) { buf(w) = buf(i); i -= 1 }
       else { buf(w) = x; j -= 1 }
       w -= 1
     }
@@ -294,46 +293,51 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   // written as one sorted run.
 
   /** Bytes `writeRecord` writes. */
-  def recordBytes: Int = RelativeCompactor.RecordHeaderBytes + 8 * len
+  def recordBytes: Int = RecordHeaderBytes + 8 * len
 
-  /** Writes the level record. The pending tail is sorted and the short run
-    * folded first: the tail sort is the one the next compaction would do, so
-    * the level's future is unchanged and a reader never re-sorts what was
-    * sorted here.
+  /** Writes the level record, decoding each key into the big-endian buffer.
+    * The pending tail is sorted and the short run folded first: the tail
+    * sort is the one the next compaction would do, so the level's future is
+    * unchanged and a reader never re-sorts what was sorted here.
     */
   def writeRecord(out: ByteBuffer): Unit = {
     oneRun()
     out.putInt(k).putInt(len).putInt(numSections).putLong(state)
-    out.asDoubleBuffer().put(buf, 0, len)
-    out.position(out.position() + 8 * len)
+    var i = 0
+    while (i < len) { out.putLong(bitsOf(buf(i))); i += 1 }
   }
 
   /** Replaces this level with the record read from `in`. Invalid parameters
     * or an item count outside `[0, B]` mean foreign bytes; they are rejected
     * before any item is allocated or read. The sorted prefix is re-derived by
-    * one scan, never taken from the bytes, so an unsorted record still
-    * compacts correctly.
+    * the scan that encodes the items, never taken from the bytes, so an
+    * unsorted record still compacts correctly.
     */
   private def readRecord(in: ByteBuffer): Unit = {
-    RelativeCompactor.need(in, RelativeCompactor.RecordHeaderBytes)
+    need(in, RecordHeaderBytes)
     val (newK, size, sections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
     if (newK < 2 || newK % 2 != 0 || sections < 2)
       throw new InvalidObjectException(s"invalid compactor parameters k=$newK numSections=$sections")
-    val maxSize = math.min(2L * newK * sections, RelativeCompactor.MaxItems)
+    val maxSize = math.min(2L * newK * sections, MaxItems)
     if (size < 0 || size > maxSize)
       throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
-    RelativeCompactor.need(in, 8L * size)
+    need(in, 8L * size)
     k = newK
     numSections = sections
     state = c
-    buf = new Array[Double](size)
-    in.asDoubleBuffer().get(buf)
+    buf = new Array[Long](size)
+    in.asLongBuffer().get(buf)
     in.position(in.position() + 8 * size)
     len = size
-    var i = math.min(1, size)
-    while (i < size && java.lang.Double.compare(buf(i - 1), buf(i)) <= 0) i += 1
-    main = i
-    sorted = i
+    var prefix = size // the ascending prefix's length
+    var i = 0
+    while (i < size) {
+      buf(i) = keyOf(buf(i))
+      if (prefix == size && i > 0 && buf(i - 1) > buf(i)) prefix = i
+      i += 1
+    }
+    main = prefix
+    sorted = prefix
   }
 }
 
@@ -342,38 +346,62 @@ object RelativeCompactor {
   /** Tails shorter than this go to `Arrays.sort`. */
   private val SmallTail = 64
 
-  /** Order-preserving key: unsigned order of keys is `Double.compare` order
-    * for every non-NaN double (−0.0 < 0.0). Bijective on bit patterns.
+  /** 2^52 − 1, the number of negative-NaN bit patterns. */
+  private val NaNShift = (1L << 52) - 1
+
+  /** Order-preserving key of the raw bits `b` of a double: the signed order
+    * of keys is `Arrays.sort`'s order of doubles (−0.0 < 0.0), and every NaN
+    * sorts above +∞. Flipping the low 63 bits of a negative pattern orders
+    * the negatives; subtracting `NaNShift` then rotates the negative-NaN
+    * patterns, the lowest after the flip, past `Long.MaxValue` to the top.
+    * A bijection on all 2^64 bit patterns.
     */
-  @inline private def key(x: Double): Long = {
-    val bits = java.lang.Double.doubleToRawLongBits(x)
-    bits ^ ((bits >> 63) | Long.MinValue)
+  @inline private def keyOf(b: Long): Long = (b ^ ((b >> 63) & Long.MaxValue)) - NaNShift
+
+  /** Inverse of `keyOf`: the raw bits of the double with key `k`. */
+  @inline private def bitsOf(k: Long): Long = {
+    val b = k + NaNShift
+    b ^ ((b >> 63) & Long.MaxValue)
   }
 
-  /** Inverse of `key`. */
-  @inline private def item(k: Long): Double =
-    java.lang.Double.longBitsToDouble(k ^ ((~k >> 63) | Long.MinValue))
+  /** Key of the double `x` (`keyOf` its raw bits). */
+  @inline private[core] def key(x: Double): Long = keyOf(java.lang.Double.doubleToRawLongBits(x))
 
-  /** Per-thread sort scratch, shared by every level of every sketch the
-    * thread runs: two key arrays as long as the longest tail sorted so far,
-    * an item array as long as the longest tail or short run merged so far,
-    * and the radix histograms.
+  /** The double with key `k`. */
+  @inline private[core] def item(k: Long): Double = java.lang.Double.longBitsToDouble(bitsOf(k))
+
+  /** Fresh array of the doubles with keys `keys(0 until n)`. */
+  private def decoded(keys: Array[Long], n: Int): Array[Double] = {
+    val xs = new Array[Double](n)
+    var i = 0
+    while (i < n) { xs(i) = item(keys(i)); i += 1 }
+    xs
+  }
+
+  /** Per-thread scratch, shared by every level of every sketch the thread
+    * runs: the tail sort's two key arrays and radix histograms, the fold's
+    * copy of a short run, and the keys a compaction promotes, which are
+    * merged into the level above while the sort and fold arrays are in use.
+    * Each array is as long as the longest use so far.
     */
   private final class Scratch {
     var a: Array[Long] = Array.emptyLongArray
     var b: Array[Long] = Array.emptyLongArray
-    var items: Array[Double] = Array.emptyDoubleArray
+    var run: Array[Long] = Array.emptyLongArray
+    var out: Array[Long] = Array.emptyLongArray
     val counts = new Array[Int](8 * 256)
 
-    /** Grows the key arrays to hold at least `n` keys. */
+    /** Grows the sort's key arrays to hold at least `n` keys. */
     def reserveKeys(n: Int): Unit = if (a.length < n) {
       a = new Array[Long](grown(a.length, n))
       b = new Array[Long](a.length)
     }
 
-    /** Grows the item array to hold at least `n` items. */
-    def reserveItems(n: Int): Unit =
-      if (items.length < n) items = new Array[Double](grown(items.length, n))
+    /** Grows the fold's array to hold at least `n` keys. */
+    def reserveRun(n: Int): Unit = if (run.length < n) run = new Array[Long](grown(run.length, n))
+
+    /** Grows the compaction output to hold at least `n` keys. */
+    def reserveOut(n: Int): Unit = if (out.length < n) out = new Array[Long](grown(out.length, n))
 
     private def grown(length: Int, n: Int): Int =
       math.max(n, math.min(2L * length, Int.MaxValue - 8).toInt)
@@ -384,13 +412,37 @@ object RelativeCompactor {
   /** Tails up to this long try `bucketSort` before the radix sort. */
   private val BucketTail = 4096
 
+  /** Sorts the keys `s.a(0 until n)` and returns the array holding them
+    * sorted. A short tail goes to `Arrays.sort`; one scan of any other
+    * finds whether it is already ascending (left as is) and the bits on
+    * which some key differs from the first; an unsorted one goes to
+    * `bucketSort` and, when that declines, to the radix sort.
+    */
+  private def sortKeys(s: Scratch, n: Int): Array[Long] = {
+    val a = s.a
+    if (n < SmallTail) { java.util.Arrays.sort(a, 0, n); return a }
+    var ascending = true
+    var diff = 0L // the bits on which some key differs from the first
+    var i = 1
+    while (i < n) {
+      if (a(i - 1) > a(i)) ascending = false
+      diff |= a(i) ^ a(0)
+      i += 1
+    }
+    if (ascending) return a
+    val keys = if (n <= BucketTail) bucketSort(s, n, diff) else null
+    if (keys != null) keys else radixSort(s, n)
+  }
+
   /** Sorts the keys `s.a(0 until n)` into `s.b` by one MSD pass on a digit
     * that starts at the highest bit on which they differ (`diff`), then an
-    * insertion sort, which moves no key out of its bucket. The digit has
-    * ⌈log2 n⌉ + 2 bits, from 8 to 11, so a spread-out tail leaves about a
-    * quarter of a key per bucket. Returns `s.b`, or null, having sorted
-    * nothing, as soon as a bucket holds more than `24 + n/32` keys: a
-    * clustered tail is declined after about that many keys, not a full pass.
+    * insertion sort, which moves no key out of its bucket. Digits are taken
+    * from `key ^ Long.MinValue`, whose unsigned order is the keys' signed
+    * order. The digit has ⌈log2 n⌉ + 2 bits, from 8 to 11, so a spread-out
+    * tail leaves about a quarter of a key per bucket. Returns `s.b`, or
+    * null, having sorted nothing, as soon as a bucket holds more than
+    * `24 + n/32` keys: a clustered tail is declined after about that many
+    * keys, not a full pass.
     */
   private def bucketSort(s: Scratch, n: Int, diff: Long): Array[Long] = {
     val (src, dst, counts) = (s.a, s.b, s.counts)
@@ -401,7 +453,7 @@ object RelativeCompactor {
     java.util.Arrays.fill(counts, 0, mask + 1, 0)
     var i = 0
     while (i < n) {
-      val slot = (src(i) >>> shift).toInt & mask
+      val slot = ((src(i) ^ Long.MinValue) >>> shift).toInt & mask
       counts(slot) += 1
       if (counts(slot) > limit) return null
       i += 1
@@ -417,7 +469,7 @@ object RelativeCompactor {
     i = 0
     while (i < n) {
       val k = src(i)
-      val slot = (k >>> shift).toInt & mask
+      val slot = ((k ^ Long.MinValue) >>> shift).toInt & mask
       dst(counts(slot)) = k
       counts(slot) += 1
       i += 1
@@ -426,16 +478,17 @@ object RelativeCompactor {
     while (i < n) {
       val k = dst(i)
       var j = i - 1
-      while (j >= 0 && java.lang.Long.compareUnsigned(dst(j), k) > 0) { dst(j + 1) = dst(j); j -= 1 }
+      while (j >= 0 && dst(j) > k) { dst(j + 1) = dst(j); j -= 1 }
       dst(j + 1) = k
       i += 1
     }
     dst
   }
 
-  /** LSD radix sort of the keys `s.a(0 until n)` on 8-bit digits, between
-    * `s.a` and `s.b`: one pass builds all eight histograms, and a digit on
-    * which every key agrees is skipped. Returns the array holding the result.
+  /** LSD radix sort of the keys `s.a(0 until n)` on the 8-bit digits of
+    * `key ^ Long.MinValue`, between `s.a` and `s.b`: one pass builds all
+    * eight histograms, and a digit on which every key agrees is skipped.
+    * Returns the array holding the result.
     */
   private def radixSort(s: Scratch, n: Int): Array[Long] = {
     val counts = s.counts
@@ -444,10 +497,10 @@ object RelativeCompactor {
     var dst = s.b
     var i = 0
     while (i < n) {
-      val k = src(i)
+      val u = src(i) ^ Long.MinValue
       var d = 0
       while (d < 8) {
-        counts((d << 8) + ((k >>> (d << 3)).toInt & 0xff)) += 1
+        counts((d << 8) + ((u >>> (d << 3)).toInt & 0xff)) += 1
         d += 1
       }
       i += 1
@@ -456,7 +509,7 @@ object RelativeCompactor {
     while (d < 8) {
       val base = d << 8
       val shift = d << 3
-      if (counts(base + ((src(0) >>> shift).toInt & 0xff)) != n) {
+      if (counts(base + (((src(0) ^ Long.MinValue) >>> shift).toInt & 0xff)) != n) {
         var sum = 0
         var b = 0
         while (b < 256) {
@@ -468,7 +521,7 @@ object RelativeCompactor {
         i = 0
         while (i < n) {
           val k = src(i)
-          val slot = base + ((k >>> shift).toInt & 0xff)
+          val slot = base + (((k ^ Long.MinValue) >>> shift).toInt & 0xff)
           dst(counts(slot)) = k
           counts(slot) += 1
           i += 1

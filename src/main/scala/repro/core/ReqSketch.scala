@@ -139,14 +139,14 @@ final class ReqSketch(
 
   protected def newLevel(): RelativeCompactor = new RelativeCompactor(k, sections)
 
-  protected def compactFull(level: RelativeCompactor): Array[Double] = level.compact(rng)
+  protected def compactionStart(level: RelativeCompactor): Int = level.scheduledStart
 
-  /** Visits the weighted coreset in `Double.compare` order, equal items in
+  /** Visits the weighted coreset in `Arrays.sort` order, equal items in
     * level order, until `visit(item, weight)` returns false: a merge of the
-    * levels' sorted runs.
+    * levels' sorted runs of keys.
     */
   private def walk(visit: (Double, Long) => Boolean): Unit = {
-    val runs = levels.map(_.sortedItems).toArray
+    val runs = levels.map(_.sortedKeys).toArray
     val ends = levels.map(_.size).toArray
     val next = new Array[Int](runs.length)
     var best = 0 // the level whose next item comes first; -1 ends the walk
@@ -155,12 +155,12 @@ final class ReqSketch(
       var h = 0
       while (h < runs.length) {
         if (next(h) < ends(h) &&
-            (best < 0 || java.lang.Double.compare(runs(h)(next(h)), runs(best)(next(best))) < 0)) best = h
+            (best < 0 || runs(h)(next(h)) < runs(best)(next(best)))) best = h
         h += 1
       }
       if (best >= 0) {
         next(best) += 1
-        if (!visit(runs(best)(next(best) - 1), 1L << best)) best = -1
+        if (!visit(RelativeCompactor.item(runs(best)(next(best) - 1)), 1L << best)) best = -1
       }
     }
   }
@@ -171,7 +171,7 @@ final class ReqSketch(
   private def specialCompactAll(): Unit = {
     var h = 0
     while (h < levels.size - 1) {
-      promote(levels(h).specialCompact(rng), h)
+      promote(h, levels(h).capacity / 2)
       h += 1
     }
   }

@@ -146,6 +146,25 @@ class RelativeCompactorSpec extends AnyFunSuite {
     assert(c.size == c.capacity / 2 && c.state == st)
   }
 
+  // The promoted keys go through per-thread scratch that grows on demand; a
+  // new thread's first compactions are the ones that grow it.
+  test("compact and specialCompact return their items on a new thread") {
+    var outs: scala.util.Try[(Array[Double], Array[Double])] = null
+    val t = new Thread(() => outs = scala.util.Try {
+      val c = new RelativeCompactor(4, 4) // B = 32
+      (1 to c.capacity).foreach(i => c.insert(i.toDouble))
+      val scheduled = c.compact(rng(1))
+      (101 to 196).foreach(i => c.insert(i.toDouble))
+      (scheduled, c.specialCompact(rng(2)))
+    })
+    t.start(); t.join()
+    val (scheduled, special) = outs.get
+    def halves(range: Seq[Double]): Set[Seq[Double]] =
+      Set(range.indices.by(2).map(range), range.indices.drop(1).by(2).map(range))
+    assert(halves((29 to 32).map(_.toDouble)).contains(scheduled.toSeq))
+    assert(halves(((17 to 28) ++ (101 to 196)).map(_.toDouble)).contains(special.toSeq))
+  }
+
   test("special compaction advances state when it compacts") {
     val (c, _) = fullCompactor()
     c.specialCompact(rng(1))
@@ -168,6 +187,36 @@ class RelativeCompactorSpec extends AnyFunSuite {
     assert(c.countAtMost(0.5) == 0)
     assert(c.countAtMost(2.0) == 3)
     assert(c.countAtMost(9.0) == 4)
+  }
+
+  test("keys round-trip raw bits and sort as Arrays.sort; countAtMost ties -0.0, skips NaN") {
+    val patterns = Seq(
+      0L, Long.MinValue,                               // ±0.0
+      1L, Long.MinValue | 1L,                          // ±MIN_VALUE
+      0x0000000012345678L, 0x800fffffffffffffL,        // subnormals
+      0x7fefffffffffffffL, 0xffefffffffffffffL,        // ±MaxValue
+      0x7ff0000000000000L, 0xfff0000000000000L,        // ±Inf
+      0xfff8000000001234L, 0x7ff0000000000001L, -1L)   // NaNs
+    val xs = patterns.map(java.lang.Double.longBitsToDouble)
+    for ((b, x) <- patterns.zip(xs)) {
+      val k = RelativeCompactor.key(x)
+      assert(java.lang.Double.doubleToRawLongBits(RelativeCompactor.item(k)) == b, b.toHexString)
+      if (x.isNaN) assert(k > RelativeCompactor.key(Double.PositiveInfinity), b.toHexString)
+      val c = new RelativeCompactor(2, 2)
+      c.insert(x)
+      assert(bits(c.toArray) == Seq(b) && bits(serialRoundTrip(c).toArray) == Seq(b), b.toHexString)
+    }
+    // One NaN pattern: Arrays.sort leaves NaNs with different payloads unordered.
+    val pool = xs.filterNot(_.isNaN) ++ Seq(-2.5, -1.0, 1e-300, 0.5, 3.0, 1e300, Double.NaN)
+    val shuffled = new scala.util.Random(5).shuffle(pool).toArray
+    val byArraysSort = shuffled.clone()
+    java.util.Arrays.sort(byArraysSort)
+    assert(bits(shuffled.sortBy(RelativeCompactor.key)) == bits(byArraysSort))
+    val c = new RelativeCompactor(4, 8)
+    shuffled.foreach(c.insert)
+    assert(c.countAtMost(-0.0) == c.countAtMost(0.0))
+    assert(c.countAtMost(-0.0) == shuffled.count(_ <= 0.0))
+    assert(c.countAtMost(Double.NaN) == 0)
   }
 
   test("setParams grows capacity keeping items and state") {
