@@ -154,18 +154,19 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     */
   def compact(rng: java.util.Random): Array[Double] = {
     require(isAtCapacity, s"compact() called on non-full buffer ($size < $capacity)")
-    val s = scratch.get()
-    val n = compactFrom(scheduledStart, rng, s) // may grow `s.out`
-    decoded(s.out, n)
+    compactItems(scheduledStart, rng)
   }
 
   /** Special compaction (Appendix C): keep only the B/2 smallest items,
     * compacting everything above. No-op (returns empty, state unchanged)
     * when at most B/2 items are stored.
     */
-  def specialCompact(rng: java.util.Random): Array[Double] = {
+  def specialCompact(rng: java.util.Random): Array[Double] = compactItems(capacity / 2, rng)
+
+  /** `compactFrom`'s promoted items, as a fresh array. */
+  private def compactItems(from: Int, rng: java.util.Random): Array[Double] = {
     val s = scratch.get()
-    val n = compactFrom(capacity / 2, rng, s)
+    val n = compactFrom(from, rng, s) // may grow `s.out`
     decoded(s.out, n)
   }
 

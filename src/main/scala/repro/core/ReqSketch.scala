@@ -152,15 +152,18 @@ final class ReqSketch(
     var best = 0 // the level whose next item comes first; -1 ends the walk
     while (best >= 0) {
       best = -1
+      var least = 0L // the key of `best`'s next item
       var h = 0
       while (h < runs.length) {
-        if (next(h) < ends(h) &&
-            (best < 0 || runs(h)(next(h)) < runs(best)(next(best)))) best = h
+        if (next(h) < ends(h)) {
+          val k = runs(h)(next(h))
+          if (best < 0 || k < least) { best = h; least = k }
+        }
         h += 1
       }
       if (best >= 0) {
         next(best) += 1
-        if (!visit(RelativeCompactor.item(runs(best)(next(best) - 1)), 1L << best)) best = -1
+        if (!visit(RelativeCompactor.item(least), 1L << best)) best = -1
       }
     }
   }
