@@ -102,4 +102,61 @@ object ReqSketchPropertySpec extends Properties("ReqSketch") {
         distinct.sorted.zipWithIndex.forall { case (x, i) => s.rank(x) == i + 1 }
       }
     }
+
+  // ------------------------------------------- quantile against the coreset
+  //
+  // The reference answer of `quantile(phi)`: the first coreset item whose
+  // cumulative weight reaches min(max(1, ceil(phi·n)), Σw), or NaN when Σw = 0.
+  // Streams include −0.0 and 0.0, ±∞, few distinct values and raw 64-bit
+  // patterns (NaN excluded, as `update` skips it); sketches are streamed, or
+  // merged from parts, whose stored weight can differ from n.
+
+  private def referenceQuantile(s: ReqSketch, phi: Double): Double = {
+    val c = s.coreset
+    val target = math.min(math.max(1L, math.ceil(phi * s.n).toLong), c.map(_._2).sum)
+    var acc = 0L
+    if (target == 0) Double.NaN else c.find { case (_, w) => acc += w; acc >= target }.get._1
+  }
+
+  private val phis = Seq(1e-9, 1e-4, 0.01, 0.5, 0.99, 0.9999, 1.0)
+
+  private def quantilesMatch(s: ReqSketch): Boolean =
+    phis.forall(phi => java.lang.Double.doubleToRawLongBits(s.quantile(phi)) ==
+      java.lang.Double.doubleToRawLongBits(referenceQuantile(s, phi)))
+
+  private val edgeGen: Gen[Double] = Gen.frequency(
+    3 -> Gen.oneOf(-0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity, -1.0, 1.0),
+    1 -> Gen.chooseNum(-1e6, 1e6))
+
+  private val shapedStreamGen: Gen[List[Double]] = Gen.oneOf(
+    edgeGen,
+    Gen.chooseNum(0, 7).map(_.toDouble),
+    Gen.long.map { b => val x = java.lang.Double.longBitsToDouble(b); if (x.isNaN) -0.0 else x },
+    Gen.chooseNum(-1e6, 1e6)
+  ).flatMap(item => Gen.chooseNum(0, 3000).flatMap(n => Gen.listOfN(n, item)))
+
+  private val profileGen: Gen[ParamProfile] = Gen.oneOf(Practical, FixedK(4), FixedK(8))
+
+  property("quantile is the first coreset item reaching min(max(1, ceil(phi n)), stored weight)") =
+    forAll(shapedStreamGen, profileGen, epsGen, Gen.chooseNum(1, 6)) { (xs, profile, eps, parts) =>
+      val sketches = xs.grouped(math.max(1, (xs.length + parts - 1) / parts)).zipWithIndex.map {
+        case (part, i) => val s = ReqSketch(eps, 0.1, profile, seed = 13 + i); part.foreach(s.update); s
+      }.toList
+      val s = sketches.reduceOption(_ merge _).getOrElse(ReqSketch(eps, 0.1, profile, seed = 13))
+      quantilesMatch(s)
+    }
+
+  property("quantile matches the coreset on merged sketches whose stored weight differs from n") = {
+    val merged = (1 to 40).map { seed =>
+      val r = new java.util.Random(seed)
+      val parts = Seq.fill(16) {
+        val s = ReqSketch(0.25, 0.1, FixedK(4), seed = seed * 100L + r.nextInt(100))
+        Seq.fill(1 + r.nextInt(400))(r.nextInt(8) - 3.5).foreach(s.update)
+        s
+      }
+      parts.reduce(_ merge _)
+    }
+    (merged.count(s => s.totalWeight != s.n) >= 10) :| "stored weight differs from n" &&
+      merged.forall(quantilesMatch)
+  }
 }
