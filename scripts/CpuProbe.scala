@@ -1,4 +1,4 @@
-import repro.core.{Practical, RelativeCompactor, ReqSketch, ReqSpark}
+package repro.core
 
 /** Thread CPU time of the sketch work in perfbench's `ingest` and `rollup`,
   * without their data generation, checks and JVM start-up:
@@ -10,8 +10,10 @@ import repro.core.{Practical, RelativeCompactor, ReqSketch, ReqSpark}
   *    a `rollup` change can be pinned to a layer;
   *  - `ingest`: one sketch fed all 2^22 doubles;
   *  - `level0`: one `RelativeCompactor` of `ingest`'s level-0 size (k = 164,
-  *    19 sections) fed all 2^22 doubles, compacting whenever full, its
-  *    outputs dropped: the tail sort and compaction without the levels above.
+  *    19 sections) fed all 2^22 doubles, running its scheduled compaction
+  *    (`compactInto`) whenever full, each output merged into a fresh level
+  *    and dropped: the tail sort and compaction without the levels above.
+  *    (In the package so it can reach `compactInto`.)
   * The doubles are uniform in [0, 1) unless a third argument names another
   * stream, which feeds the sort kernels tails of another shape:
   *  - `clustered`: 1 in 64 uniform, the rest in [0.5, 0.5 + 1e-9);
@@ -27,7 +29,7 @@ import repro.core.{Practical, RelativeCompactor, ReqSketch, ReqSpark}
   * mkdir -p .bench_build/probe
   * java -cp "$SPARK_HOME/jars/"\* scala.tools.nsc.Main -usejavacp -d .bench_build/probe \
   *   $(find src/main/scala -name '*.scala') scripts/CpuProbe.scala
-  * java -Xmx2g -cp .bench_build/probe:"$SPARK_HOME/jars/"\* CpuProbe <seed> <rounds> [stream]
+  * java -Xmx2g -cp .bench_build/probe:"$SPARK_HOME/jars/"\* repro.core.CpuProbe <seed> <rounds> [stream]
   * }}}
   */
 object CpuProbe {
@@ -76,7 +78,11 @@ object CpuProbe {
       times(6)(r) = ms {
         val level = new RelativeCompactor(164, 19)
         var i = 0
-        while (i < data.length) { level.insert(data(i)); if (level.isAtCapacity) level.compact(coin); i += 1 }
+        while (i < data.length) {
+          level.insert(data(i))
+          if (level.isAtCapacity) level.compactInto(level.scheduledStart, coin)(new RelativeCompactor(2, 2))
+          i += 1
+        }
       }
     }
     def median(a: Array[Double]): Double = { val s = a.drop(2).sorted; s(s.length / 2) }

@@ -7,13 +7,13 @@ import scala.collection.mutable.ArrayBuffer
   * compaction-coin RNG and the count of items summarized. The paper's
   * "simple approach" (Section 1) is this stack with the schedule removed,
   * and Algorithms 2 and 4 run the same operations on it for both: the
-  * weighted rank, the bottom-up compaction cascade and the level-by-level
-  * merge.
+  * bottom-up compaction cascade and the level-by-level merge. Every query
+  * (`rank`, `quantile`, `coreset`) reads the weighted coreset of Section
+  * 2.2, and `rank` and `quantile` share one weighted count over keys.
   *
   * A subclass supplies `newLevel()` and where a full level's compaction
-  * starts,
-  * and appends its own first level once the parameters `newLevel()` reads
-  * are set.
+  * starts, and appends its own first level once the parameters
+  * `newLevel()` reads are set.
   *
   * @param seed RNG seed; 0 means "seed from entropy" (`ReqSketch.newRng`)
   */
@@ -48,14 +48,58 @@ abstract class LevelStack(val seed: Long) {
   /** Total number of universe items stored — the paper's space measure. */
   def itemsStored: Int = levels.iterator.map(_.size).sum
 
-  /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y stored at level h}|; 0 on an
-    * empty sketch.
+  /** Σ_h 2^h·|buffer_h| — equals n exactly in the pure streaming setting
+    * (every scheduled compaction there halves an even-sized range) and
+    * stays an unbiased estimate of n under merges.
     */
-  def rank(y: Double): Long = {
-    var r = 0L
+  def totalWeight: Long = {
+    var w = 0L
     var h = 0
-    while (h < levels.size) { r += (1L << h) * levels(h).countAtMost(y); h += 1 }
-    r
+    while (h < levels.size) { w += (1L << h) * levels(h).size; h += 1 }
+    w
+  }
+
+  /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y stored at level h}| under IEEE
+    * `<=`: −0.0 and 0.0 tie, a stored NaN is never counted, y = NaN ranks 0.
+    * 0 on an empty sketch.
+    */
+  def rank(y: Double): Long =
+    if (y != y) 0L else weightAtMost(RelativeCompactor.key(if (y == 0.0) 0.0 else y))
+
+  /** Approximate φ-quantile: the least stored item whose estimated rank
+    * reaches φ·n (φ ∈ (0, 1]), or the largest stored item when the stored
+    * weight falls short of φ·n. NaN when no item is stored (as when n = 0).
+    * Bisects the signed key range for the least key whose weight reaches
+    * the target: 64 probes of `weightAtMost`.
+    */
+  def quantile(phi: Double): Double = {
+    require(phi > 0 && phi <= 1, s"phi must be in (0,1], got $phi")
+    val target = math.min(math.max(1L, math.ceil(phi * count).toLong), totalWeight)
+    if (target == 0) return Double.NaN
+    var lo = Long.MinValue
+    var hi = Long.MaxValue // weightAtMost(hi) >= target throughout
+    while (lo < hi) {
+      val mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1) // ⌊(lo + hi) / 2⌋
+      if (weightAtMost(mid) >= target) hi = mid else lo = mid + 1
+    }
+    RelativeCompactor.item(lo)
+  }
+
+  /** The weighted coreset: (item, weight) sorted by item, equal items in
+    * level order — a stable sort of the levels' keys, level 0 first.
+    */
+  def coreset: Array[(Double, Long)] =
+    levels.indices.flatMap(h => levels(h).sortedKeys.take(levels(h).size).map(k => (k, h)))
+      .sortBy(_._1).iterator.map { case (k, h) => (RelativeCompactor.item(k), 1L << h) }.toArray
+
+  /** Σ_h 2^h·|{keys ≤ `ky` at level h}|, the one weighted count behind
+    * `rank` and `quantile`.
+    */
+  private def weightAtMost(ky: Long): Long = {
+    var w = 0L
+    var h = 0
+    while (h < levels.size) { w += (1L << h) * levels(h).countAtMost(ky); h += 1 }
+    w
   }
 
   /** Compacts level h from index `from` of its sorted order and cascades

@@ -24,10 +24,9 @@ import java.nio.ByteBuffer
   * Items live in one growable `Array[Long]` of keys (`RelativeCompactor.key`),
   * whose signed order is the total order of `java.util.Arrays.sort` on
   * doubles (−0.0 < 0.0, NaN last): a sorted main run, a sorted short run,
-  * then the unsorted tail inserted since the last compaction. `insert` and
-  * `insertAll` encode; every merge, walk and search compares keys as longs,
-  * and only the API edge (`compact`, `specialCompact`, `toArray`,
-  * `mergeRun`, the level record) decodes or encodes. A compaction sorts
+  * then the unsorted tail inserted since the last compaction. `insert`
+  * encodes; every merge, compaction and search compares keys as longs, and
+  * only the level record decodes or encodes besides. A compaction sorts
   * only the tail (left as is when already ascending, bucket- or
   * radix-sorted otherwise) and merges it into the short run, then takes
   * its range from the tops of both runs in one descending walk, so its
@@ -42,8 +41,7 @@ import java.nio.ByteBuffer
 final class RelativeCompactor(var k: Int, var numSections: Int) {
   import RelativeCompactor._
 
-  require(k >= 2 && k % 2 == 0, s"section size must be even >= 2, got $k")
-  require(numSections >= 2, s"need >= 2 sections, got $numSections")
+  require(validParams(k, numSections), paramsMessage(k, numSections))
 
   /** Keys: `buf(0 until main)` is the main run, `buf(main until sorted)`
     * the short run, `buf(sorted until len)` the unsorted tail.
@@ -69,23 +67,6 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     len += 1
   }
 
-  def insertAll(xs: Array[Double]): Unit = {
-    if (len + xs.length > buf.length) grow(len + xs.length)
-    var i = 0
-    while (i < xs.length) { buf(len + i) = key(xs(i)); i += 1 }
-    len += xs.length
-  }
-
-  /** Merges the run `run(0 until n)`, ascending in `Arrays.sort` order,
-    * into the level (`mergeKeys` on its keys).
-    */
-  private[core] def mergeRun(run: Array[Double], n: Int): Unit = {
-    val keys = new Array[Long](n)
-    var i = 0
-    while (i < n) { keys(i) = key(run(i)); i += 1 }
-    mergeKeys(keys, n)
-  }
-
   /** Merges the ascending keys `run(0 until n)` into the level. The pending
     * tail is sorted first, which is the sort the next compaction would do. A
     * run at least half the main run's length is merged into the main run,
@@ -104,24 +85,17 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     foldIfLong()
   }
 
-  /** Copy of the stored items, as one sorted run. */
-  def toArray: Array[Double] = { oneRun(); decoded(buf, len) }
-
   /** The level as one ascending run of keys, `buf(0 until size)`. The tail
     * sort is the one the next compaction would do, and the fold leaves the
     * multiset as it was, so the level's future is unchanged. Read-only.
     */
   private[core] def sortedKeys: Array[Long] = { oneRun(); buf }
 
-  /** Number of stored items ≤ y under IEEE `<=`: −0.0 and 0.0 tie, a stored
-    * NaN is never counted and y = NaN counts 0. A binary search for the key
-    * of y (of 0.0 when y is −0.0) over the level as one run; NaN keys sort
-    * above every other.
+  /** Number of stored keys ≤ `ky`: a binary search over the level as one
+    * run.
     */
-  def countAtMost(y: Double): Int = {
-    if (y != y) return 0
+  private[core] def countAtMost(ky: Long): Int = {
     oneRun()
-    val ky = key(if (y == 0.0) 0.0 else y)
     var lo = 0
     var hi = len
     while (lo < hi) {
@@ -147,32 +121,13 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     */
   private[core] def scheduledStart: Int = capacity - nextCompactionSections * k
 
-  /** Scheduled compaction (Algorithm 1 lines 6–13 / Algorithm 4 line 17).
-    * Pre-condition: `size >= capacity`. Returns the promoted items (half of
-    * the compacted range, odd or even indexed uniformly at random); the
-    * lowest `B − L` items stay in the buffer.
-    */
-  def compact(rng: java.util.Random): Array[Double] = {
-    require(isAtCapacity, s"compact() called on non-full buffer ($size < $capacity)")
-    compactItems(scheduledStart, rng)
-  }
-
-  /** Special compaction (Appendix C): keep only the B/2 smallest items,
-    * compacting everything above. No-op (returns empty, state unchanged)
-    * when at most B/2 items are stored.
-    */
-  def specialCompact(rng: java.util.Random): Array[Double] = compactItems(capacity / 2, rng)
-
-  /** `compactFrom`'s promoted items, as a fresh array. */
-  private def compactItems(from: Int, rng: java.util.Random): Array[Double] = {
-    val s = scratch.get()
-    val n = compactFrom(from, rng, s) // may grow `s.out`
-    decoded(s.out, n)
-  }
-
   /** Compacts from sorted index `from` as `compactFrom` does, and merges
     * the promoted keys into `above`, which is evaluated only when the
-    * compaction promotes some.
+    * compaction promotes some. From `scheduledStart` this is the scheduled
+    * compaction (Algorithm 1 lines 6–13, Algorithm 4 line 17), which keeps
+    * the lowest `B − L` items; from `capacity / 2` it is the special
+    * compaction (Appendix C), which keeps the B/2 smallest and is a no-op
+    * at or below B/2 items.
     */
   private[core] def compactInto(from: Int, rng: java.util.Random)(above: => RelativeCompactor): Unit = {
     val s = scratch.get()
@@ -279,7 +234,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     * state are retained.
     */
   def setParams(newK: Int, newNumSections: Int): Unit = {
-    require(newK >= 2 && newK % 2 == 0 && newNumSections >= 2)
+    require(validParams(newK, newNumSections), paramsMessage(newK, newNumSections))
     k = newK
     numSections = newNumSections
   }
@@ -308,17 +263,17 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     while (i < len) { out.putLong(bitsOf(buf(i))); i += 1 }
   }
 
-  /** Replaces this level with the record read from `in`. Invalid parameters
-    * or an item count outside `[0, B]` mean foreign bytes; they are rejected
-    * before any item is allocated or read. The sorted prefix is re-derived by
-    * the scan that encodes the items, never taken from the bytes, so an
-    * unsorted record still compacts correctly.
+  /** Replaces this level with the record read from `in`. Parameters the
+    * constructor would reject or an item count outside `[0, B]` mean
+    * foreign bytes; they are rejected before any item is allocated or read.
+    * The sorted prefix is re-derived by the scan that encodes the items,
+    * never taken from the bytes, so an unsorted record still compacts
+    * correctly.
     */
   private def readRecord(in: ByteBuffer): Unit = {
     need(in, RecordHeaderBytes)
     val (newK, size, sections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
-    if (newK < 2 || newK % 2 != 0 || sections < 2)
-      throw new InvalidObjectException(s"invalid compactor parameters k=$newK numSections=$sections")
+    if (!validParams(newK, sections)) throw new InvalidObjectException(paramsMessage(newK, sections))
     val maxSize = math.min(2L * newK * sections, MaxItems)
     if (size < 0 || size > maxSize)
       throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
@@ -371,13 +326,16 @@ object RelativeCompactor {
   /** The double with key `k`. */
   @inline private[core] def item(k: Long): Double = java.lang.Double.longBitsToDouble(bitsOf(k))
 
-  /** Fresh array of the doubles with keys `keys(0 until n)`. */
-  private def decoded(keys: Array[Long], n: Int): Array[Double] = {
-    val xs = new Array[Double](n)
-    var i = 0
-    while (i < n) { xs(i) = item(keys(i)); i += 1 }
-    xs
-  }
+  /** Whether a level may have section size `k` and `sections` sections: k
+    * even and ≥ 2, at least 2 sections, and a capacity 2·k·sections that
+    * fits an `Int`.
+    */
+  private def validParams(k: Int, sections: Int): Boolean =
+    k >= 2 && k % 2 == 0 && sections >= 2 && 2L * k * sections <= Int.MaxValue
+
+  private def paramsMessage(k: Int, sections: Int): String =
+    s"invalid compactor parameters k=$k numSections=$sections: need k even >= 2, " +
+      "numSections >= 2 and 2·k·numSections <= Int.MaxValue"
 
   /** Per-thread scratch, shared by every level of every sketch the thread
     * runs: the tail sort's two key arrays and radix histograms, the fold's

@@ -59,42 +59,8 @@ final class ReqSketch(
   /** Current per-level buffer capacity B. */
   def bufferCapacity: Int = 2 * k * sections
 
-  /** Σ_h 2^h·|buffer_h| — equals n exactly in the pure streaming setting
-    * (every scheduled compaction there halves an even-sized range) and
-    * stays an unbiased estimate of n under merges.
-    */
-  def totalWeight: Long = {
-    var w = 0L
-    var h = 0
-    while (h < levels.size) { w += (1L << h) * levels(h).size; h += 1 }
-    w
-  }
-
   /** Estimated rank of each query (batch form of `rank`). */
   def ranks(ys: Array[Double]): Array[Long] = ys.map(rank)
-
-  /** The weighted coreset: (item, weight) sorted by item, equal items in
-    * level order.
-    */
-  def coreset: Array[(Double, Long)] = {
-    val out = new Array[(Double, Long)](itemsStored)
-    var i = 0
-    walk { (x, w) => out(i) = (x, w); i += 1; true }
-    out
-  }
-
-  /** Approximate φ-quantile: the smallest stored item whose estimated rank
-    * is ≥ φ·n (φ ∈ (0, 1]), or the largest stored item when the stored
-    * weight falls short of φ·n. NaN when no item is stored (as when n = 0).
-    */
-  def quantile(phi: Double): Double = {
-    require(phi > 0 && phi <= 1, s"phi must be in (0,1], got $phi")
-    val target = math.max(1L, math.ceil(phi * count).toLong)
-    var acc = 0L
-    var q = Double.NaN
-    walk { (x, w) => acc += w; q = x; acc < target }
-    q
-  }
 
   /** Per-level sizes, for space accounting in the benches. */
   def levelSizes: IndexedSeq[Int] = levels.map(_.size).toIndexedSeq
@@ -140,33 +106,6 @@ final class ReqSketch(
   protected def newLevel(): RelativeCompactor = new RelativeCompactor(k, sections)
 
   protected def compactionStart(level: RelativeCompactor): Int = level.scheduledStart
-
-  /** Visits the weighted coreset in `Arrays.sort` order, equal items in
-    * level order, until `visit(item, weight)` returns false: a merge of the
-    * levels' sorted runs of keys.
-    */
-  private def walk(visit: (Double, Long) => Boolean): Unit = {
-    val runs = levels.map(_.sortedKeys).toArray
-    val ends = levels.map(_.size).toArray
-    val next = new Array[Int](runs.length)
-    var best = 0 // the level whose next item comes first; -1 ends the walk
-    while (best >= 0) {
-      best = -1
-      var least = 0L // the key of `best`'s next item
-      var h = 0
-      while (h < runs.length) {
-        if (next(h) < ends(h)) {
-          val k = runs(h)(next(h))
-          if (best < 0 || k < least) { best = h; least = k }
-        }
-        h += 1
-      }
-      if (best >= 0) {
-        next(best) += 1
-        if (!visit(RelativeCompactor.item(least), 1L << best)) best = -1
-      }
-    }
-  }
 
   /** Special compactions on levels 0..H−1 (Algorithm 4 SpecialCompactions):
     * each keeps at most B/2 items, promoting the compacted half upward.
@@ -264,7 +203,9 @@ object ReqSketch {
   /** Decodes `toBytes` output. Foreign bytes fail with an `IOException`:
     * `EOFException` when truncated, `StreamCorruptedException` for a wrong
     * magic or trailing bytes, `InvalidObjectException` for an unknown
-    * version, flags or profile, or invalid parameters, counts or levels,
+    * version, flags or profile, or invalid parameters, counts or levels
+    * (among them a bound N below the profile's initial bound, which no
+    * encoder writes, and where squaring never grows N = 0 or 1),
     * each raised before anything is allocated for it, or for a NaN item
     * (which `update` never stores) or a stored weight Σ_h 2^h·size_h above
     * `Long.MaxValue`, checked as each level is read.
@@ -289,7 +230,9 @@ object ReqSketch {
       case _ => throw new InvalidObjectException(s"unknown profile tag $tag with k=$fixedK")
     }
     val (seed, n, bound) = (in.getLong(), in.getLong(), in.getLong())
-    if (n < 0 || bound < n) throw new InvalidObjectException(s"invalid n=$n N=$bound")
+    if (n < 0 || bound < n || bound < profile.initialBound(eps, delta))
+      throw new InvalidObjectException(s"invalid n=$n N=$bound: need 0 <= n <= N and N at least " +
+        s"the initial bound ${profile.initialBound(eps, delta)}")
     val (k, sections, numLevels) = (in.getInt(), in.getInt(), in.getInt())
     if (numLevels < 1 || numLevels > MaxLevels)
       throw new InvalidObjectException(s"level count $numLevels outside [1, $MaxLevels]")
@@ -305,7 +248,7 @@ object ReqSketch {
       if (level.k != k || level.numSections != sections)
         throw new InvalidObjectException(s"level parameters (${level.k}, ${level.numSections})" +
           s" differ from the sketch's ($k, $sections)")
-      if (level.countAtMost(Double.PositiveInfinity) < level.size) // counts every item but NaN
+      if (level.countAtMost(RelativeCompactor.key(Double.PositiveInfinity)) < level.size) // all but NaN
         throw new InvalidObjectException(s"NaN item at level $h")
       if (level.size > ((Long.MaxValue - weight) >> h))
         throw new InvalidObjectException(s"stored weight overflows a Long at level $h")

@@ -1,8 +1,11 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import CompactorOps._
 
-/** Invariants of a single relative-compactor (Algorithm 1). */
+/** Invariants of a single relative-compactor (Algorithm 1), driven through
+  * the level stack's own compaction, merge and count (`CompactorOps`).
+  */
 class RelativeCompactorSpec extends AnyFunSuite {
 
   private def rng(seed: Long) = new java.util.Random(seed)
@@ -34,18 +37,30 @@ class RelativeCompactorSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new RelativeCompactor(4, 1))
   }
 
+  // 2·k·numSections overflowing an Int would make `capacity` negative, every
+  // level at capacity and the first update's cascade endless.
+  test("constructor and setParams reject a capacity above Int.MaxValue") {
+    assert(new RelativeCompactor(1 << 28, 2).capacity == 1 << 30)
+    intercept[IllegalArgumentException](new RelativeCompactor(1 << 29, 2))
+    intercept[IllegalArgumentException](new RelativeCompactor(2, 1 << 30))
+    intercept[IllegalArgumentException](ReqSketch(0.01, 0.05, FixedK(1 << 29), 7))
+    intercept[IllegalArgumentException](new RelativeCompactor(4, 4).setParams(1 << 29, 2))
+  }
+
+  test("a level record whose capacity overflows an Int is rejected") {
+    for ((k, sections) <- Seq((1 << 29, 2), (2, 1 << 30), (1 << 16, 1 << 15))) {
+      val record = java.nio.ByteBuffer.allocate(RelativeCompactor.RecordHeaderBytes)
+        .putInt(k).putInt(0).putInt(sections).putLong(0L)
+      intercept[java.io.InvalidObjectException](RelativeCompactor.read(record.flip()))
+    }
+  }
+
   test("insert grows size; isAtCapacity flips at B") {
     val c = new RelativeCompactor(2, 2)
     (1 to c.capacity - 1).foreach(i => c.insert(i.toDouble))
     assert(!c.isAtCapacity)
     c.insert(0.0)
     assert(c.isAtCapacity)
-  }
-
-  test("compact on a non-full buffer is rejected") {
-    val c = new RelativeCompactor(2, 2)
-    c.insert(1.0)
-    intercept[IllegalArgumentException](c.compact(rng(1)))
   }
 
   test("first compaction involves exactly one section (L = k)") {

@@ -187,6 +187,20 @@ class SerializationSpec extends AnyFunSuite {
       intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
   }
 
+  // N = 0 or 1 would never grow by squaring: the next update would hang.
+  test("a bound N below the profile's initial bound fails with an InvalidObjectException") {
+    for (profile <- Seq(Practical, Theory, FixedK(8))) {
+      val s = ReqSketch(0.1, 0.1, profile, seed = 38)
+      val bytes = ReqSketch.toBytes(s)
+      def withBound(bound: Long): Array[Byte] = {
+        val b = bytes.clone(); java.nio.ByteBuffer.wrap(b).putLong(43, bound); b
+      }
+      assert(ReqSketch.fromBytes(withBound(s.nBound)).nBound == s.nBound)
+      for (bad <- Seq(0L, 1L, s.nBound - 1))
+        intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(withBound(bad)))
+    }
+  }
+
   /** Bytes of an empty sketch with `levels` levels, the top one holding
     * `top`.
     */
