@@ -86,11 +86,21 @@ abstract class LevelStack(val seed: Long) {
   }
 
   /** The weighted coreset: (item, weight) sorted by item, equal items in
-    * level order — a stable sort of the levels' keys, level 0 first.
+    * level order — a stable sort by key of the levels' items, level 0
+    * first. `Arrays.sort` on objects is a stable merge sort that merges the
+    * levels' sorted runs as it finds them.
     */
-  def coreset: Array[(Double, Long)] =
-    levels.indices.flatMap(h => levels(h).sortedKeys.take(levels(h).size).map(k => (k, h)))
-      .sortBy(_._1).iterator.map { case (k, h) => (RelativeCompactor.item(k), 1L << h) }.toArray
+  def coreset: Array[(Double, Long)] = {
+    val out = new Array[(Double, Long)](itemsStored)
+    var i = 0
+    for (h <- levels.indices) {
+      val keys = levels(h).sortedKeys
+      for (j <- 0 until levels(h).size) { out(i) = (RelativeCompactor.item(keys(j)), 1L << h); i += 1 }
+    }
+    java.util.Arrays.sort(out, (a: (Double, Long), b: (Double, Long)) =>
+      java.lang.Long.compare(RelativeCompactor.key(a._1), RelativeCompactor.key(b._1)))
+    out
+  }
 
   /** Σ_h 2^h·|{keys ≤ `ky` at level h}|, the one weighted count behind
     * `rank` and `quantile`.
