@@ -106,6 +106,43 @@ class HarnessSpec extends SparkSpec {
     assert(out.contains("4.5000"))
   }
 
+  // ----------------------------------------------------------- pinned rows
+  //
+  // What the tables print for fixed seeds, at miniature sizes: a change that
+  // does not change the algorithm must leave these rows as they are. KLL's
+  // errors (unseeded coins), T3 (its rows depend on the shuffle) and T5's
+  // timings are not deterministic and are left out.
+
+  test("t1SpaceVsN pins the REQ, ProtectedHalf and KLL item counts") {
+    val rows = Harness.t1SpaceVsN(Seq(4096L, 16384L, 65536L), eps = 0.1, delta = 0.2, seed = 1)
+    assert(rows.map(r => (r.n, r.reqItems, r.phItems, r.kllItems)) == Seq(
+      (4096L, 1338, 696, 67), (16384L, 2058, 884, 88), (65536L, 2902, 1036, 106)))
+  }
+
+  test("t2TailAccuracy pins the REQ relative errors") {
+    val res = Harness.t2TailAccuracy(n = 65536, eps = 0.1, delta = 0.2, seed = 2)
+    assert(res.reqItems == 2925 && res.reqMaxRel == 0.005584716796875)
+    assert(res.rows.map(r => (r.rank, r.reqRelErr)) ==
+      (0 to 9).map(i => (1L << i, 0.0)) ++ Seq(
+        1024L -> 0.001953125, 2048L -> 0.001953125, 4096L -> 0.0048828125,
+        8192L -> 0.001708984375, 16384L -> 0.00421142578125,
+        32768L -> 0.003509521484375, 65536L -> 0.005584716796875))
+  }
+
+  test("t4EpsSweep pins its rows") {
+    val rows = Harness.t4EpsSweep(n = 30000, epss = Seq(0.2, 0.05), delta = 0.2, seed = 6)
+    assert(rows == Seq(
+      Harness.T4Row(0.2, 1489, 308, 0.2068502350570853, 0.01708984375, 0.125),
+      Harness.T4Row(0.05, 4276, 2800, 0.6548175865294668, 0.0025634765625, 0.01171875)))
+  }
+
+  test("t6FailureProb pins its rows") {
+    val rows = Harness.t6FailureProb(n = 16384, eps = 0.1, deltas = Seq(0.2, 0.05),
+      trials = 20, seed = 8)
+    assert(rows == Seq(Harness.T6Row(0.2, 0.1, 20, 0.0, 0.0),
+                       Harness.T6Row(0.05, 0.1, 20, 0.0, 0.0)))
+  }
+
   test("errProfile handles a sketch over zipf data end to end") {
     val data = Workloads.zipf(spark, rows = 20000, nKeys = 100, seed = 9)
     val s = ReqSketch(0.1, 0.1, Practical, seed = 10)
