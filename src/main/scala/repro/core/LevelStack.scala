@@ -50,14 +50,10 @@ abstract class LevelStack(val seed: Long) {
 
   /** Σ_h 2^h·|buffer_h| — equals n exactly in the pure streaming setting
     * (every scheduled compaction there halves an even-sized range) and
-    * stays an unbiased estimate of n under merges.
+    * stays an unbiased estimate of n under merges. Every key is at most
+    * `Long.MaxValue`.
     */
-  def totalWeight: Long = {
-    var w = 0L
-    var h = 0
-    while (h < levels.size) { w += (1L << h) * levels(h).size; h += 1 }
-    w
-  }
+  def totalWeight: Long = weightAtMost(Long.MaxValue)
 
   /** Estimated rank R̂(y) = Σ_h 2^h · |{x ≤ y stored at level h}| under IEEE
     * `<=`: −0.0 and 0.0 tie, a stored NaN is never counted, y = NaN ranks 0.
