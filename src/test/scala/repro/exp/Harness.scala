@@ -30,12 +30,7 @@ object Harness {
                               perRank: Seq[(Long, Double)])
 
   def errProfile(rank: Double => Long, data: Array[Double]): ErrProfile = {
-    val sorted = data.clone()
-    java.util.Arrays.sort(sorted)
-    val n = sorted.length.toLong
-    val grid = Workloads.rankGrid(n)
-    val queries = grid.map(r => sorted((r - 1).toInt))
-    val truths = ExactRank.ranksLocal(sorted, queries)
+    val (queries, truths) = gridTruth(data)
     val rels = queries.indices.map { i =>
       val t = truths(i)
       val est = rank(queries(i))
@@ -48,6 +43,16 @@ object Harness {
       meanRel = errs.sum / errs.size,
       perRank = rels
     )
+  }
+
+  /** The data values at the `rankGrid` positions of the sorted data, and
+    * their exact ranks.
+    */
+  private def gridTruth(data: Array[Double]): (Array[Double], Array[Long]) = {
+    val sorted = data.clone()
+    java.util.Arrays.sort(sorted)
+    val queries = Workloads.rankGrid(sorted.length.toLong).map(r => sorted((r - 1).toInt))
+    (queries, ExactRank.ranksLocal(sorted, queries))
   }
 
   /** Size a KLL sketch to approximately `targetItems` stored items on a
@@ -143,8 +148,9 @@ object Harness {
                          items: Int, weightDrift: Double)
 
   /** T3 — mergeability: the same data summarized (a) by a single stream,
-    * (b) by per-partition sketches merged via Spark treeReduce at depths 2
-    * and 4, and (c) by a random local pairwise merge tree, must agree in
+    * (b) by per-partition sketches merged up `ReqSpark.sketchColumn`'s
+    * fixed-order tree at depths 2 and 4 (rows labelled "treeReduce", the
+    * shape of that tree), and (c) by a random local pairwise merge tree, must agree in
     * accuracy and space ("as if the entire data set had been processed as a
     * single stream").
     */
@@ -158,7 +164,7 @@ object Harness {
     // (a) streaming
     val streaming = ReqSketch(eps, delta, Practical, seed = seed + 1)
     streaming.updateAll(data)
-    // (b) Spark treeReduce at two depths
+    // (b) sketchColumn's merge tree at two depths
     import spark.implicits._
     val df = spark.createDataset(data.toIndexedSeq).toDF("x").repartition(chunks)
     val tree2 = ReqSpark.sketchColumn(df, "x", eps, delta, Practical, seed = seed + 2, depth = 2)
@@ -268,10 +274,7 @@ object Harness {
   def t6FailureProb(n: Int, eps: Double, deltas: Seq[Double], trials: Int,
                     seed: Long): Seq[T6Row] = {
     val data = Workloads.uniform(n, seed)
-    val sorted = data.clone(); java.util.Arrays.sort(sorted)
-    val grid = Workloads.rankGrid(n.toLong)
-    val queries = grid.map(r => sorted((r - 1).toInt))
-    val truths = ExactRank.ranksLocal(sorted.clone(), queries)
+    val (queries, truths) = gridTruth(data)
     deltas.map { delta =>
       val failures = new Array[Int](queries.length)
       (1 to trials).foreach { t =>
