@@ -26,8 +26,10 @@ import org.apache.spark.sql.functions.{col, udaf, udf}
   * ([[ReqSketch.toBytes]]: a header, then each level as one sorted run of
   * big-endian doubles, about 8 bytes per stored item); use
   * [[ReqSpark.quantileUdf]] / [[ReqSketch.fromBytes]] to query it. The
-  * aggregation buffers and `treeReduce` task results are Java-serialized,
-  * which for a sketch writes those same bytes.
+  * aggregation buffers are Java-serialized, as are the sketches that
+  * `sketchColumn` ships through its `groupByKey` shuffle and `collect()`;
+  * Java serialization writes a sketch as a `ReqSketch.Wire` of those same
+  * bytes.
   */
 final class ReqSketchAggregator(
     eps: Double,
