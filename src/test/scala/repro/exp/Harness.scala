@@ -150,9 +150,9 @@ object Harness {
   /** T3 — mergeability: the same data summarized (a) by a single stream,
     * (b) by per-partition sketches merged up `ReqSpark.sketchColumn`'s
     * fixed-order tree at depths 2 and 4 (rows labelled "treeReduce", the
-    * shape of that tree), and (c) by a random local pairwise merge tree, must agree in
-    * accuracy and space ("as if the entire data set had been processed as a
-    * single stream").
+    * shape of that tree), and (c) by a random local pairwise merge tree,
+    * must agree in accuracy and space ("as if the entire data set had been
+    * processed as a single stream").
     */
   def t3Mergeability(spark: SparkSession, data: Array[Double], eps: Double,
                      delta: Double, seed: Long, chunks: Int = 64): Seq[T3Row] = {

@@ -4,7 +4,8 @@ import repro.SparkSpec
 import repro.core.{Practical, ReqSketch}
 
 /** Smoke tests of the experiment harness at miniature scale — the bench
-  * suites run the real sizes; these guard the plumbing.
+  * suites run the real sizes; these guard the plumbing and pin the rows
+  * that are deterministic for a fixed seed.
   */
 class HarnessSpec extends SparkSpec {
 
