@@ -29,8 +29,14 @@ object Harness {
   final case class ErrProfile(maxRel: Double, p99Rel: Double, meanRel: Double,
                               perRank: Seq[(Long, Double)])
 
-  def errProfile(rank: Double => Long, data: Array[Double]): ErrProfile = {
-    val (queries, truths) = gridTruth(data)
+  def errProfile(rank: Double => Long, data: Array[Double]): ErrProfile =
+    errProfile(rank, gridTruth(data))
+
+  /** `errProfile` at grid queries and exact ranks already computed by
+    * `gridTruth`: every permutation of the data has the same.
+    */
+  def errProfile(rank: Double => Long, truth: (Array[Double], Array[Long])): ErrProfile = {
+    val (queries, truths) = truth
     val rels = queries.indices.map { i =>
       val t = truths(i)
       val est = rank(queries(i))
@@ -209,6 +215,7 @@ object Harness {
     */
   def t4EpsSweep(n: Int, epss: Seq[Double], delta: Double, seed: Long): Seq[T4Row] = {
     val base = Workloads.uniform(n, seed)
+    val truth = gridTruth(base)
     epss.map { eps =>
       var reqItems = 0
       var phItems = 0
@@ -222,8 +229,8 @@ object Harness {
         ph.updateAll(data)
         reqItems = math.max(reqItems, req.itemsStored)
         phItems = math.max(phItems, ph.itemsStored)
-        reqWorst = math.max(reqWorst, errProfile(req.rank, data).maxRel)
-        phWorst = math.max(phWorst, errProfile(ph.rank(_), data).maxRel)
+        reqWorst = math.max(reqWorst, errProfile(req.rank, truth).maxRel)
+        phWorst = math.max(phWorst, errProfile(ph.rank(_), truth).maxRel)
       }
       T4Row(eps, reqItems, phItems, phItems.toDouble / reqItems, reqWorst, phWorst)
     }
