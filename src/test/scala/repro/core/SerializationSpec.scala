@@ -94,7 +94,7 @@ class SerializationSpec extends AnyFunSuite {
   private def withLevelCount(count: Int): Array[Byte] = {
     val s = ReqSketch(0.1, 0.1, seed = 19)
     Seq(1.5, 2.5, 3.5).foreach(s.update)
-    val bytes = ReqSketch.toBytes(s)
+    val bytes = WireV1.toBytes(s)
     val sections = s.bufferCapacity / (2 * s.sectionSize)
     val fields = java.nio.ByteBuffer.allocate(12).putInt(s.sectionSize).putInt(3).putInt(sections)
     val at = bytes.indexOfSlice(fields.array())
@@ -113,7 +113,7 @@ class SerializationSpec extends AnyFunSuite {
   test("a level holding a NaN item fails with an InvalidObjectException") {
     val s = ReqSketch(0.1, 0.1, seed = 19)
     Seq(1.5, 2.5, 3.5).foreach(s.update)
-    val bytes = ReqSketch.toBytes(s)
+    val bytes = WireV1.toBytes(s)
     assert(bytes.length == 63 + 20 + 3 * 8)
     java.nio.ByteBuffer.wrap(bytes).putDouble(99, Double.NaN) // level 0's third item
     val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
@@ -156,6 +156,22 @@ class SerializationSpec extends AnyFunSuite {
       val bytes = ReqSketch.toBytes(s)
       assert(bytes.length == length && sha256(bytes) == digest)
       assert(ReqSketch.toBytes(ReqSketch.fromBytes(bytes)).sameElements(bytes))
+    }
+  }
+
+  private val phis = Seq(1e-4, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0)
+
+  for ((profile, eps, length, digest) <- goldenBytes) {
+    test(s"golden v1 bytes: the test-side v1 writer's $profile sketch decodes to the source state") {
+      val s = ReqSketch(eps, 0.05, profile, seed = 24)
+      s.updateAll(Workloads.uniform(100000, 25))
+      val v1 = WireV1.toBytes(s)
+      assert(v1.length == length && sha256(v1) == digest)
+      val t = ReqSketch.fromBytes(v1)
+      assert(state(t) == state(s))
+      assert(phis.map(t.quantile).map(java.lang.Double.doubleToRawLongBits) ==
+        phis.map(s.quantile).map(java.lang.Double.doubleToRawLongBits))
+      assert(ReqSketch.toBytes(t).sameElements(ReqSketch.toBytes(s)))
     }
   }
 
@@ -208,7 +224,7 @@ class SerializationSpec extends AnyFunSuite {
     val s = ReqSketch(0.1, 0.1, seed = 30)
     val sections = s.bufferCapacity / (2 * s.sectionSize)
     val out = java.nio.ByteBuffer.allocate(63 + 20 * levels + 8 * top.length)
-    out.put(ReqSketch.toBytes(s), 0, 59).putInt(levels)
+    out.put(WireV1.toBytes(s), 0, 59).putInt(levels)
     for (h <- 0 until levels) {
       val items = if (h == levels - 1) top else Nil
       out.putInt(s.sectionSize).putInt(items.length).putInt(sections).putLong(0L)
@@ -257,7 +273,7 @@ class SerializationSpec extends AnyFunSuite {
     s.updateAll(Workloads.uniform(300, 31).map(x => math.floor(x * 40) - 20.0) ++
       Seq(-0.0, 0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity))
     assert(s.height == 0)
-    val sorted = ReqSketch.toBytes(s)
+    val sorted = WireV1.toBytes(s)
     val itemsAt = sorted.length - 8 * s.itemsStored
     val items = java.nio.ByteBuffer.wrap(sorted, itemsAt, 8 * s.itemsStored).asDoubleBuffer()
     val xs = Array.tabulate(s.itemsStored)(items.get)
