@@ -18,10 +18,14 @@ package repro.core
   * stream, which feeds the sort kernels tails of another shape:
   *  - `clustered`: 1 in 64 uniform, the rest in [0.5, 0.5 + 1e-9);
   *  - `dups`: the integers 0 to 7.
-  * Prints the median over `rounds` rounds, the first two dropped as warm-up,
-  * and a SHA-256 of the `toBytes` of the last round's `fold` result and
-  * `ingest` sketch, so one run per commit compares sketch state as well as
-  * time.
+  * Prints the median over `rounds` rounds, the first two dropped as warm-up;
+  * for the last round's `fold` result and `ingest` sketch, `toBytes` bytes
+  * per stored item and a SHA-256 of the sketch state (parameters, level
+  * sizes and schedule states, and the coreset's items and weights), which
+  * does not depend on the wire format, so one run per commit compares
+  * sketch state as well as time; and, before any round, the thread CPU of
+  * the JVM's first `toBytes` and first `fromBytes`, of a sketch fed all
+  * 2^22 doubles (`cold_encode_ms`, `cold_decode_ms`).
   *
   * Compile against a commit's main sources and run, one JVM per commit and
   * seed, with the Scala compiler in Spark's jars (from the repository root):
@@ -53,8 +57,13 @@ object CpuProbe {
       while (i < until) { s.update(data(i)); i += 1 }
       s
     }
+    val coldSketch = feed(ReqSketch(0.01, 0.05, Practical, seed), 0, data.length)
+    var cold: Array[Byte] = null
+    val coldEncode = ms { cold = ReqSketch.toBytes(coldSketch) }
+    val coldDecode = ms { ReqSketch.fromBytes(cold) }
     val times = Array.fill(7)(new Array[Double](rounds)) // build, fold, decode, merge, encode, ingest, level0
-    var (folded, ingested) = (Array.emptyByteArray, Array.emptyByteArray)
+    var (foldState, ingestState) = ("", "")
+    var (foldPerItem, ingestPerItem) = (0.0, 0.0)
     for (r <- 0 until rounds) {
       var bytes: Array[Array[Byte]] = null
       times(0)(r) = ms {
@@ -69,11 +78,15 @@ object CpuProbe {
           times(2)(r) += ms { chunk = ReqSketch.fromBytes(bytes(i)) }
           times(3)(r) += ms { acc = if (acc == null) chunk else acc.merge(chunk) }
         }
+        var folded: Array[Byte] = null
         times(4)(r) = ms { folded = ReqSketch.toBytes(acc) }
+        foldState = stateSha(acc)
+        foldPerItem = folded.length.toDouble / acc.itemsStored
       }
       var s: ReqSketch = null
       times(5)(r) = ms { s = feed(ReqSketch(0.01, 0.05, Practical, seed), 0, data.length) }
-      ingested = ReqSketch.toBytes(s)
+      ingestState = stateSha(s)
+      ingestPerItem = ReqSketch.toBytes(s).length.toDouble / s.itemsStored
       val coin = new java.util.Random(seed)
       times(6)(r) = ms {
         val level = new RelativeCompactor(164, 19)
@@ -86,10 +99,21 @@ object CpuProbe {
       }
     }
     def median(a: Array[Double]): Double = { val s = a.drop(2).sorted; s(s.length / 2) }
-    def sha(b: Array[Byte]): String =
-      java.security.MessageDigest.getInstance("SHA-256").digest(b).map("%02x".format(_)).mkString
     val names = Seq("build", "fold", "decode", "merge", "encode", "ingest", "level0")
     println(names.zip(times).map { case (n, t) => f"${n}_ms ${median(t)}%.1f" }.mkString(" ") +
-      s" fold_sha256 ${sha(folded)} ingest_sha256 ${sha(ingested)}")
+      f" cold_encode_ms $coldEncode%.2f cold_decode_ms $coldDecode%.2f" +
+      f" fold_bytes_per_item $foldPerItem%.4f ingest_bytes_per_item $ingestPerItem%.4f" +
+      s" fold_state $foldState ingest_state $ingestState")
+  }
+
+  /** A SHA-256 of the sketch's state, independent of the wire format. */
+  private def stateSha(s: ReqSketch): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val b = java.nio.ByteBuffer.allocate(8)
+    def put(x: Long): Unit = { b.clear(); md.update(b.putLong(x).array()) }
+    Seq(s.n, s.nBound, s.sectionSize.toLong, s.bufferCapacity.toLong).foreach(put)
+    (0 to s.height).foreach { h => put(s.levelSizes(h).toLong); put(s.levelState(h)) }
+    s.coreset.foreach { case (x, w) => put(java.lang.Double.doubleToRawLongBits(x)); put(w) }
+    md.digest().map("%02x".format(_)).mkString
   }
 }
