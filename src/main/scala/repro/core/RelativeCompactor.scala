@@ -1,7 +1,7 @@
 package repro.core
 
 import java.io.{EOFException, InvalidObjectException}
-import java.nio.ByteBuffer
+import java.nio.{ByteBuffer, ByteOrder}
 
 /** One level of the REQ sketch: the relative-compactor of Algorithm 1.
   *
@@ -25,8 +25,9 @@ import java.nio.ByteBuffer
   * whose signed order is the total order of `java.util.Arrays.sort` on
   * doubles (−0.0 < 0.0, NaN last): a sorted main run, a sorted short run,
   * then the unsorted tail inserted since the last compaction. `insert`
-  * encodes; every merge, compaction and search compares keys as longs, and
-  * only the level record decodes or encodes besides. A compaction sorts
+  * encodes; every merge, compaction and search compares keys as longs, the
+  * level record carries them as keys, and only the version 1 record reader
+  * encodes besides. A compaction sorts
   * only the tail (left as is when already ascending, bucket- or
   * radix-sorted otherwise) and merges it into the short run, then takes
   * its range from the tops of both runs in one descending walk, so its
@@ -244,39 +245,82 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
 
   // ------------------------------------------------------------ level record
   //
-  // The one on-wire definition of a level, used by `ReqSketch.toBytes`: `k`,
-  // `size`, `numSections` (int32), `C` (int64), then `size` big-endian doubles
-  // written as one sorted run.
+  // The one on-wire definition of a level, used by `ReqSketch.toBytes`
+  // (version 2): `size` (int32) and `C` (int64); when `size > 0`, the first
+  // key (int64), a width byte `w`, the bit length of the widest gap between
+  // adjacent keys, and the `size − 1` gaps, `w` bits each, packed low bit
+  // first into ⌈w·(size − 1)/8⌉ little-endian bytes. The level is written as
+  // one sorted run, so every gap is non-negative; `k` and `numSections` come
+  // from the sketch header. Version 1 (`readV1`) wrote `k, size,
+  // numSections: int32, C: int64`, then `size` big-endian float64 items.
 
-  /** Bytes `writeRecord` writes. */
-  def recordBytes: Int = RecordHeaderBytes + 8 * len
+  /** At least the bytes `writeRecord` writes: the gaps take at most 8 bytes
+    * each.
+    */
+  def recordBytesBound: Int = 21 + 8 * len
 
-  /** Writes the level record, decoding each key into the big-endian buffer.
-    * The pending tail is sorted and the short run folded first: the tail
-    * sort is the one the next compaction would do, so the level's future is
-    * unchanged and a reader never re-sorts what was sorted here.
+  /** Writes the level record: the keys as they are stored, their gaps packed
+    * through a 64-bit accumulator. The pending tail is sorted and the short
+    * run folded first: the tail sort is the one the next compaction would
+    * do, so the level's future is unchanged.
     */
   def writeRecord(out: ByteBuffer): Unit = {
     oneRun()
-    out.putInt(k).putInt(len).putInt(numSections).putLong(state)
-    var i = 0
-    while (i < len) { out.putLong(bitsOf(buf(i))); i += 1 }
+    out.putInt(len).putLong(state)
+    if (len == 0) return
+    var gaps = 0L // every gap ORed together: its bit length is the width
+    var i = 1
+    while (i < len) { gaps |= buf(i) - buf(i - 1); i += 1 }
+    val w = 64 - java.lang.Long.numberOfLeadingZeros(gaps)
+    out.putLong(buf(0)).put(w.toByte)
+    var acc = 0L // the packed bits not yet written, `used` of them
+    var used = 0
+    i = 1
+    while (i < len) {
+      val gap = buf(i) - buf(i - 1)
+      acc |= gap << used
+      used += w
+      if (used >= 64) {
+        out.putLong(java.lang.Long.reverseBytes(acc))
+        used -= 64
+        acc = if (used == 0) 0L else gap >>> (w - used)
+      }
+      i += 1
+    }
+    while (used > 0) { out.put(acc.toByte); acc >>>= 8; used -= 8 }
   }
 
-  /** Replaces this level with the record read from `in`. Parameters the
-    * constructor would reject or an item count outside `[0, B]` mean
-    * foreign bytes; they are rejected before any item is allocated or read.
-    * The sorted prefix is re-derived by the scan that encodes the items,
-    * never taken from the bytes, so an unsorted record still compacts
-    * correctly.
+  /** Replaces this level with the version 2 record read from `in`, for a
+    * sketch whose levels have section size `newK` and `sections` sections.
+    * Parameters the constructor would reject, an item count outside
+    * `[0, B]`, a width above 64 or too few bytes are rejected before the
+    * keys are allocated, and keys past `Long.MaxValue` once all are read.
     */
-  private def readRecord(in: ByteBuffer): Unit = {
-    need(in, RecordHeaderBytes)
-    val (newK, size, sections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
-    if (!validParams(newK, sections)) throw new InvalidObjectException(paramsMessage(newK, sections))
-    val maxSize = math.min(2L * newK * sections, MaxItems)
-    if (size < 0 || size > maxSize)
-      throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
+  private def readRecord(in: ByteBuffer, newK: Int, sections: Int): Unit = {
+    need(in, 12)
+    val (size, c) = (in.getInt(), in.getLong())
+    checkRecord(newK, sections, size)
+    k = newK
+    numSections = sections
+    state = c
+    buf = if (size == 0) Array.emptyLongArray else readKeys(in, size)
+    len = size
+    main = size
+    sorted = size
+  }
+
+  /** Replaces this level with the version 1 record read from `in`, whose
+    * parameters must be the sketch's `newK` and `sections`. The sorted
+    * prefix is re-derived by the scan that encodes the items, never taken
+    * from the bytes, so an unsorted record still compacts correctly.
+    */
+  private def readRecordV1(in: ByteBuffer, newK: Int, sections: Int): Unit = {
+    need(in, 20)
+    val (recordK, size, recordSections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
+    checkRecord(recordK, recordSections, size)
+    if (recordK != newK || recordSections != sections)
+      throw new InvalidObjectException(s"level parameters ($recordK, $recordSections)" +
+        s" differ from the sketch's ($newK, $sections)")
     need(in, 8L * size)
     k = newK
     numSections = sections
@@ -295,6 +339,9 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     main = prefix
     sorted = prefix
   }
+
+  /** The greatest stored key; the level must not be empty. */
+  private[core] def greatestKey: Long = { oneRun(); buf(len - 1) }
 }
 
 object RelativeCompactor {
@@ -492,16 +539,92 @@ object RelativeCompactor {
     src
   }
 
-  /** Bytes of a level record before its items. */
-  val RecordHeaderBytes: Int = 20
-
   /** The most items a level record may hold: their bytes fit one array. */
   private val MaxItems: Int = Int.MaxValue / 8
 
-  /** Reads one level record (see `writeRecord`). */
-  def read(in: ByteBuffer): RelativeCompactor = {
+  /** Rejects a record of `size` items for levels of section size `k` and
+    * `sections` sections, unless the constructor accepts the parameters and
+    * the size is in `[0, B]`.
+    */
+  private def checkRecord(k: Int, sections: Int, size: Int): Unit = {
+    if (!validParams(k, sections)) throw new InvalidObjectException(paramsMessage(k, sections))
+    val maxSize = math.min(2L * k * sections, MaxItems)
+    if (size < 0 || size > maxSize)
+      throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
+  }
+
+  /** Bytes of `size − 1` packed gaps of `w` bits. */
+  private def packedBytes(w: Int, size: Int): Long = (w.toLong * (size - 1) + 7) >>> 3
+
+  /** Reads the keys of a version 2 record of `size` ≥ 1 keys, after its
+    * count and state. Gaps whose 8 bytes from their first byte lie in the
+    * record cost one little-endian `getLong`, a shift, a mask and an add
+    * when `w` ≤ 56; wider gaps and the last few bytes are read byte by byte.
+    * A sum past `Long.MaxValue` wraps below the key before it, which one
+    * flag collects for a single check at the end.
+    */
+  private def readKeys(in: ByteBuffer, size: Int): Array[Long] = {
+    need(in, 9)
+    val first = in.getLong()
+    val w = in.get() & 0xff
+    if (w > 64) throw new InvalidObjectException(s"gap width $w above 64")
+    val bytes = packedBytes(w, size)
+    need(in, bytes)
+    val at = in.position()
+    in.position(at + bytes.toInt)
+    val keys = new Array[Long](size)
+    if (w == 0) { java.util.Arrays.fill(keys, first); return keys }
+    val le = in.duplicate().order(ByteOrder.LITTLE_ENDIAN)
+    val mask = -1L >>> (64 - w)
+    val fast = if (w > 56 || bytes < 8) 0 else math.min(size - 1, (8 * bytes - 57) / w + 1).toInt
+    keys(0) = first
+    var prev = first
+    var wrapped = false
+    var bit = 0L
+    var i = 1
+    while (i <= fast) {
+      val x = prev + ((le.getLong(at + (bit >>> 3).toInt) >>> (bit & 7)) & mask)
+      wrapped |= x < prev
+      keys(i) = x
+      prev = x
+      bit += w
+      i += 1
+    }
+    while (i < size) {
+      var gap = 0L
+      var got = 0 // bits of the gap read
+      while (got < w) {
+        val p = bit + got
+        val off = (p & 7).toInt
+        gap |= ((le.get(at + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
+        got += 8 - off
+      }
+      val x = prev + (gap & mask)
+      wrapped |= x < prev
+      keys(i) = x
+      prev = x
+      bit += w
+      i += 1
+    }
+    if (wrapped) throw new InvalidObjectException("level keys overflow Long.MaxValue")
+    keys
+  }
+
+  /** Reads one version 2 level record (see `writeRecord`) of a sketch whose
+    * levels have section size `k` and `sections` sections.
+    */
+  def read(in: ByteBuffer, k: Int, sections: Int): RelativeCompactor = {
     val c = new RelativeCompactor(2, 2)
-    c.readRecord(in)
+    c.readRecord(in, k, sections)
+    c
+  }
+
+  /** Reads one version 1 level record, whose parameters must be `k` and
+    * `sections`.
+    */
+  def readV1(in: ByteBuffer, k: Int, sections: Int): RelativeCompactor = {
+    val c = new RelativeCompactor(2, 2)
+    c.readRecordV1(in, k, sections)
     c
   }
 

@@ -175,10 +175,11 @@ object ReqSketch {
   // Big-endian; DESIGN.md has the byte layout. Header: magic, version, flags
   // (must be 0), ε, δ, profile tag and FixedK k, seed, n, N, k, sections and
   // the level count; then one level record per level
-  // (`RelativeCompactor.writeRecord`), each a sorted run.
+  // (`RelativeCompactor.writeRecord`), each a sorted run of bit-packed key
+  // gaps. Version 1, with float64 items, is still read.
 
   private val Magic = 0x52455153 // "REQS"
-  private val Version: Byte = 1
+  private val Version: Byte = 2
   private val HeaderBytes = 63
   private val MaxLevels = 64
 
@@ -187,7 +188,7 @@ object ReqSketch {
     * it would have been.
     */
   def toBytes(s: ReqSketch): Array[Byte] = {
-    val out = ByteBuffer.allocate(HeaderBytes + s.levels.iterator.map(_.recordBytes).sum)
+    val out = ByteBuffer.allocate(HeaderBytes + s.levels.iterator.map(_.recordBytesBound).sum)
     val (tag, fixedK) = s.profile match {
       case Practical => (0, 0)
       case Theory    => (1, 0)
@@ -197,7 +198,7 @@ object ReqSketch {
       .put(tag.toByte).putInt(fixedK).putLong(s.seed).putLong(s.count).putLong(s.bound)
       .putInt(s.k).putInt(s.sections).putInt(s.levels.size)
     s.levels.foreach(_.writeRecord(out))
-    out.array()
+    java.util.Arrays.copyOf(out.array(), out.position())
   }
 
   /** Decodes `toBytes` output. Foreign bytes fail with an `IOException`:
@@ -206,17 +207,18 @@ object ReqSketch {
     * version, flags or profile, or invalid parameters, counts or levels
     * (among them a bound N below the profile's initial bound, which no
     * encoder writes, and where squaring never grows N = 0 or 1),
-    * each raised before anything is allocated for it, or for a NaN item
-    * (which `update` never stores) or a stored weight Σ_h 2^h·size_h above
-    * `Long.MaxValue`, checked as each level is read.
+    * each raised before anything is allocated for it, or for keys past
+    * `Long.MaxValue`, a NaN item (which `update` never stores) or a stored
+    * weight Σ_h 2^h·size_h above `Long.MaxValue`, checked as each level is
+    * read. Version 1 bytes decode to the same sketch as version 2.
     */
   def fromBytes(b: Array[Byte]): ReqSketch = {
     val in = ByteBuffer.wrap(b)
     RelativeCompactor.need(in, HeaderBytes)
     if (in.getInt() != Magic) throw new StreamCorruptedException("not a REQ sketch: wrong magic")
     val version = in.get()
-    if (version != Version)
-      throw new InvalidObjectException(s"unsupported REQ sketch version $version (expected $Version)")
+    if (version != Version && version != 1)
+      throw new InvalidObjectException(s"unsupported REQ sketch version $version (expected 1 or $Version)")
     val flags = in.get()
     if (flags != 0) throw new InvalidObjectException(s"unsupported REQ sketch flags $flags")
     val (eps, delta) = (in.getDouble(), in.getDouble())
@@ -242,13 +244,12 @@ object ReqSketch {
     s.k = k
     s.sections = sections
     s.levels.clear()
+    val maxKey = RelativeCompactor.key(Double.PositiveInfinity) // every key above it is a NaN
     var weight = 0L // Σ 2^h·size_h so far: every rank must fit a Long
     for (h <- 0 until numLevels) {
-      val level = RelativeCompactor.read(in)
-      if (level.k != k || level.numSections != sections)
-        throw new InvalidObjectException(s"level parameters (${level.k}, ${level.numSections})" +
-          s" differ from the sketch's ($k, $sections)")
-      if (level.countAtMost(RelativeCompactor.key(Double.PositiveInfinity)) < level.size) // all but NaN
+      val level =
+        if (version == 1) RelativeCompactor.readV1(in, k, sections) else RelativeCompactor.read(in, k, sections)
+      if (level.size > 0 && level.greatestKey > maxKey)
         throw new InvalidObjectException(s"NaN item at level $h")
       if (level.size > ((Long.MaxValue - weight) >> h))
         throw new InvalidObjectException(s"stored weight overflows a Long at level $h")

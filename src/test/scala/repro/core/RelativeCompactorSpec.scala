@@ -49,9 +49,25 @@ class RelativeCompactorSpec extends AnyFunSuite {
 
   test("a level record whose capacity overflows an Int is rejected") {
     for ((k, sections) <- Seq((1 << 29, 2), (2, 1 << 30), (1 << 16, 1 << 15))) {
-      val record = java.nio.ByteBuffer.allocate(RelativeCompactor.RecordHeaderBytes)
-        .putInt(k).putInt(0).putInt(sections).putLong(0L)
-      intercept[java.io.InvalidObjectException](RelativeCompactor.read(record.flip()))
+      val v1 = java.nio.ByteBuffer.allocate(20).putInt(k).putInt(0).putInt(sections).putLong(0L)
+      intercept[java.io.InvalidObjectException](RelativeCompactor.readV1(v1.flip(), k, sections))
+      val v2 = java.nio.ByteBuffer.allocate(12).putInt(0).putLong(0L)
+      intercept[java.io.InvalidObjectException](RelativeCompactor.read(v2.flip(), k, sections))
+    }
+  }
+
+  test("a level record round-trips keys from Long.MinValue to Long.MaxValue") {
+    val runs = Seq(Array(Long.MinValue, -1L, 0L, 1L, Long.MaxValue), Array(Long.MinValue, Long.MaxValue),
+      Array.fill(40)(7L), Array.tabulate(200)(i => (i - 100L) << 55), // gaps of 56 bits
+      Array.tabulate(100)(i => (i - 50L) << 56), Array(42L))           // and of 57
+    for (run <- runs) {
+      val c = new RelativeCompactor(64, 8)
+      c.mergeKeys(run, run.length)
+      val record = java.nio.ByteBuffer.allocate(c.recordBytesBound)
+      c.writeRecord(record)
+      val back = RelativeCompactor.read(record.flip(), 64, 8)
+      assert(!record.hasRemaining && back.size == run.length)
+      assert(back.sortedKeys.take(back.size).sameElements(run))
     }
   }
 
@@ -282,9 +298,9 @@ class RelativeCompactorSpec extends AnyFunSuite {
   }
 
   private def serialRoundTrip(c: RelativeCompactor): RelativeCompactor = {
-    val record = java.nio.ByteBuffer.allocate(c.recordBytes)
+    val record = java.nio.ByteBuffer.allocate(c.recordBytesBound)
     c.writeRecord(record)
-    RelativeCompactor.read(record.flip())
+    RelativeCompactor.read(record.flip(), c.k, c.numSections)
   }
 
   test("sorted-run compaction matches a full sort under random operation mixes") {

@@ -71,16 +71,16 @@ object ReqSketchPropertySpec extends Properties("ReqSketch") {
       }
     }
 
-  property("duplicates keep rank monotone and weight consistent") = {
-    val dupGen = Gen.chooseNum(1, 2000).flatMap(n =>
-      Gen.listOfN(n, Gen.chooseNum(0, 20).map(_.toDouble)))
+  private val dupGen: Gen[List[Double]] = Gen.chooseNum(1, 2000).flatMap(n =>
+    Gen.listOfN(n, Gen.chooseNum(0, 20).map(_.toDouble)))
+
+  property("duplicates keep rank monotone and weight consistent") =
     forAll(dupGen) { xs =>
       val s = ReqSketch(0.1, 0.1, seed = 9)
       xs.foreach(s.update)
       val rs = (0 to 21).map(i => s.rank(i.toDouble))
       rs == rs.sorted && s.rank(21.0) == s.totalWeight
     }
-  }
 
   property("streaming equals merge-of-singletons in count") =
     forAll(Gen.listOfN(300, Gen.chooseNum(-1e3, 1e3))) { xs =>
@@ -159,4 +159,13 @@ object ReqSketchPropertySpec extends Properties("ReqSketch") {
     (merged.count(s => s.totalWeight != s.n) >= 10) :| "stored weight differs from n" &&
       merged.forall(quantilesMatch)
   }
+
+  property("toBytes of fromBytes of toBytes is byte-identical") =
+    forAll(Gen.oneOf(streamGen, dupGen, shapedStreamGen), profileGen, epsGen) {
+      (xs, profile, eps) =>
+        val s = ReqSketch(eps, 0.1, profile, seed = 14)
+        xs.foreach(s.update)
+        val bytes = ReqSketch.toBytes(s)
+        ReqSketch.toBytes(ReqSketch.fromBytes(bytes)).sameElements(bytes)
+    }
 }

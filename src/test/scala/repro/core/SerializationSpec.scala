@@ -149,7 +149,13 @@ class SerializationSpec extends AnyFunSuite {
     (Theory, 0.05, 269695, "e48600865c507cf3ffd660ef1e51ffb10abc88809289b33559dfed346ece7434"),
     (FixedK(12), 0.01, 30991, "7a8379d977d394aa091c96ccd32027873d99ec131512cf405db915f9607dca7b"))
 
-  for ((profile, eps, length, digest) <- goldenBytes) {
+  /** Version 2 `toBytes` of the same sketches as `goldenBytes`. */
+  private val goldenBytesV2 = Seq[(ParamProfile, Double, Int, String)](
+    (Practical, 0.01, 144267, "830944356388c2f83453b590df9154c559baf50d93b8dc2ec8e1f34294d9b3ef"),
+    (Theory, 0.05, 209517, "e3acde360ad5c67b73e81c951b8a9d09b961889b629f86a60cc1e6a86405249a"),
+    (FixedK(12), 0.01, 24698, "df90dcf8dfcebb4772b7c23f4a238daef7f5e8c6bc4519bf523ad46fe682c674"))
+
+  for ((profile, eps, length, digest) <- goldenBytesV2) {
     test(s"golden bytes: SHA-256 of toBytes for a fixed $profile sketch") {
       val s = ReqSketch(eps, 0.05, profile, seed = 24)
       s.updateAll(Workloads.uniform(100000, 25))
@@ -183,8 +189,8 @@ class SerializationSpec extends AnyFunSuite {
   }
 
   test("an unknown version, flags or profile tag fails with an InvalidObjectException") {
-    assert(ReqSketch.fromBytes(patched(4)(_.put(1.toByte))).n == 5000)
-    for (bytes <- Seq(patched(4)(_.put(2.toByte)), patched(4)(_.put(0.toByte)),
+    assert(ReqSketch.fromBytes(patched(4)(_.put(2.toByte))).n == 5000)
+    for (bytes <- Seq(patched(4)(_.put(3.toByte)), patched(4)(_.put(0.toByte)),
                       patched(5)(_.put(1.toByte)), patched(5)(_.put(0x80.toByte)),
                       patched(22)(_.put(3.toByte)), patched(22)(_.put(-1.toByte)),
                       patched(23)(_.putInt(12))))
@@ -253,13 +259,118 @@ class SerializationSpec extends AnyFunSuite {
     s.updateAll(Workloads.uniform(200000, 29))
     val in = java.nio.ByteBuffer.wrap(ReqSketch.toBytes(s)).position(63)
     for (h <- 0 to s.height) {
-      val (k, size, sections, state) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
-      assert(k == s.sectionSize && size == s.levelSizes(h) && 2 * k * sections == s.bufferCapacity)
-      assert(state == s.levelState(h))
-      val items = Array.fill(size)(in.getDouble())
+      val (size, state) = (in.getInt(), in.getLong())
+      assert(size == s.levelSizes(h) && state == s.levelState(h))
+      val (first, w) = (in.getLong(), in.get().toInt)
+      val packed = new Array[Byte](((w.toLong * (size - 1) + 7) / 8).toInt)
+      in.get(packed)
+      val bits = java.util.BitSet.valueOf(packed)
+      val gaps = Array.tabulate(size - 1)(j => (0 until w).map(b => if (bits.get(j * w + b)) 1L << b else 0L).sum)
+      assert(w == 64 - java.lang.Long.numberOfLeadingZeros(gaps.foldLeft(0L)(_ | _)), s"level $h")
+      val items = gaps.scanLeft(first)(_ + _).map(RelativeCompactor.item)
       assert(items.sameElements(items.sorted), s"level $h")
+      assert(items.sameElements(s.levels(h).sortedKeys.take(size).map(RelativeCompactor.item)), s"level $h")
     }
     assert(!in.hasRemaining)
+  }
+
+  /** Version 2 bytes of an empty ε = 0.1 sketch whose one level holds the
+    * keys `first`, then `first` plus each of `gaps` in turn, with the gaps
+    * packed `w` bits each, low bit first.
+    */
+  private def v2Level(first: Long, w: Int, gaps: Long*): Array[Byte] = {
+    val bits = new java.util.BitSet
+    for ((g, j) <- gaps.zipWithIndex; b <- 0 until math.min(w, 64) if ((g >>> b) & 1) == 1)
+      bits.set(j * w + b)
+    val packed = java.util.Arrays.copyOf(bits.toByteArray, ((w.toLong * gaps.size + 7) / 8).toInt)
+    val out = java.nio.ByteBuffer.allocate(63 + 21 + packed.length)
+    out.put(ReqSketch.toBytes(ReqSketch(0.1, 0.1, seed = 40)), 0, 59).putInt(1)
+      .putInt(gaps.size + 1).putLong(0L).putLong(first).put(w.toByte).put(packed)
+    out.array()
+  }
+
+  test("v2: hand-packed gaps decode; a width above 64 or keys past Long.MaxValue are rejected") {
+    val k1 = RelativeCompactor.key(1.0)
+    val s = ReqSketch.fromBytes(v2Level(k1, 3, 0L, 5L, 7L))
+    assert(s.coreset.toSeq.map(_._1) ==
+      Seq(k1, k1, k1 + 5, k1 + 12).map(RelativeCompactor.item))
+    for (bytes <- Seq(v2Level(k1, 65, 1L), v2Level(k1, 255, 1L)))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+    // A sum past Long.MaxValue wraps: through the one-getLong path (w ≤ 56,
+    // enough bytes after the gap) and through the byte-by-byte path.
+    val wide = (1L << 56) - 1
+    for (bytes <- Seq(v2Level(Long.MaxValue - 3 * wide, 56, Seq.fill(12)(wide): _*),
+                      v2Level(0L, 63, 1L << 62, 1L << 62),
+                      v2Level(-2L, 64, -1L, 3L))) {
+      val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+      assert(e.getMessage.contains("overflow"), e.getMessage)
+    }
+  }
+
+  test("v2: a last key that is a NaN fails with an InvalidObjectException") {
+    val (one, inf) = (RelativeCompactor.key(1.0), RelativeCompactor.key(Double.PositiveInfinity))
+    assert(ReqSketch.fromBytes(v2Level(one, 63, inf - one)).rank(Double.PositiveInfinity) == 2)
+    val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(v2Level(one, 63, inf - one + 1)))
+    assert(e.getMessage.contains("NaN") && e.getMessage.contains("level 0"))
+    intercept[java.io.InvalidObjectException](
+      ReqSketch.fromBytes(v2Level(one, 63, RelativeCompactor.key(Double.NaN) - one)))
+  }
+
+  test("v2: truncation at every cut fails with an IOException, and a trailing byte is rejected") {
+    val s = ReqSketch(0.1, 0.1, seed = 41)
+    s.updateAll(Workloads.uniform(20000, 42))
+    val bytes = ReqSketch.toBytes(s)
+    assert(s.height >= 3)
+    for (cut <- 0 until bytes.length)
+      intercept[java.io.IOException](ReqSketch.fromBytes(bytes.take(cut)))
+    intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(bytes :+ 0.toByte))
+  }
+
+  test("v2: all-equal keys take width 0 and no gap bytes") {
+    val s = ReqSketch(0.1, 0.1, seed = 43)
+    s.updateAll(Array.fill(20000)(2.5))
+    assert(s.height >= 2)
+    val bytes = ReqSketch.toBytes(s)
+    assert(bytes.length == 63 + s.levelSizes.map(size => if (size == 0) 12 else 21).sum)
+    val t = ReqSketch.fromBytes(bytes)
+    assert(state(t) == state(s) && ReqSketch.toBytes(t).sameElements(bytes))
+  }
+
+  test("v2: raw bit patterns round-trip, and keys from Long.MinValue up take width 64") {
+    val r = new java.util.Random(44)
+    val raw = Array.fill(5000) {
+      val x = java.lang.Double.longBitsToDouble(r.nextLong())
+      if (x.isNaN) 0.0 else x
+    }
+    val infs = Array.tabulate(5000)(i => if (i % 3 == 0) Double.PositiveInfinity else Double.NegativeInfinity)
+    for (xs <- Seq(raw, infs)) {
+      val s = ReqSketch(0.1, 0.1, seed = 45)
+      s.updateAll(xs)
+      val bytes = ReqSketch.toBytes(s)
+      val t = ReqSketch.fromBytes(bytes)
+      assert(state(t) == state(s) && ReqSketch.toBytes(t).sameElements(bytes))
+    }
+    // key(−∞) is Long.MinValue, and the gap up to key(+∞) needs all 64 bits.
+    assert(RelativeCompactor.key(Double.NegativeInfinity) == Long.MinValue)
+    val s = ReqSketch(0.1, 0.1, seed = 45)
+    s.updateAll(infs)
+    assert(s.height > 0 && s.levelSizes(0) > 1)
+    assert(ReqSketch.toBytes(s)(63 + 12 + 8) == 64) // level 0's width byte, after size, C and the first key
+  }
+
+  test("v2: an item count outside [0, B] or sketch parameters a level rejects are refused") {
+    val s = ReqSketch(0.1, 0.1, seed = 19)
+    Seq(1.5, 2.5, 3.5).foreach(s.update)
+    val bytes = ReqSketch.toBytes(s)
+    def patchedAt(offset: Int, value: Int): Array[Byte] = {
+      val b = bytes.clone(); java.nio.ByteBuffer.wrap(b).putInt(offset, value); b
+    }
+    assert(ReqSketch.fromBytes(patchedAt(63, 3)).rank(2.5) == 2)
+    for (bad <- Seq(-1, Int.MinValue, s.bufferCapacity + 1, Int.MaxValue))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(patchedAt(63, bad)))
+    // k at offset 51 and numSections at 55, which version 2 levels take from the header.
+    for ((offset, bad) <- Seq(51 -> 3, 51 -> 0, 51 -> (1 << 29), 55 -> 1, 55 -> (1 << 30)))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(patchedAt(offset, bad)))
   }
 
   /** Full state: parameters, levels, schedule states and the coreset. */
