@@ -254,10 +254,19 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   // from the sketch header. Version 1 (`readV1`) wrote `k, size,
   // numSections: int32, C: int64`, then `size` big-endian float64 items.
 
-  /** At least the bytes `writeRecord` writes: the gaps take at most 8 bytes
-    * each.
+  /** Bit length of the widest gap between adjacent keys, the level read as
+    * one run: every gap ORed together.
     */
-  def recordBytesBound: Int = 21 + 8 * len
+  private def gapWidth: Int = {
+    oneRun()
+    var gaps = 0L
+    var i = 1
+    while (i < len) { gaps |= buf(i) - buf(i - 1); i += 1 }
+    64 - java.lang.Long.numberOfLeadingZeros(gaps)
+  }
+
+  /** Bytes `writeRecord` writes. */
+  def recordBytes: Int = if (len == 0) 12 else 21 + packedBytes(gapWidth, len).toInt
 
   /** Writes the level record: the keys as they are stored, their gaps packed
     * through a 64-bit accumulator. The pending tail is sorted and the short
@@ -265,19 +274,18 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     * do, so the level's future is unchanged.
     */
   def writeRecord(out: ByteBuffer): Unit = {
-    oneRun()
+    val w = gapWidth
     out.putInt(len).putLong(state)
     if (len == 0) return
-    var gaps = 0L // every gap ORed together: its bit length is the width
-    var i = 1
-    while (i < len) { gaps |= buf(i) - buf(i - 1); i += 1 }
-    val w = 64 - java.lang.Long.numberOfLeadingZeros(gaps)
-    out.putLong(buf(0)).put(w.toByte)
+    var prev = buf(0)
+    out.putLong(prev).put(w.toByte)
     var acc = 0L // the packed bits not yet written, `used` of them
     var used = 0
-    i = 1
+    var i = 1
     while (i < len) {
-      val gap = buf(i) - buf(i - 1)
+      val x = buf(i)
+      val gap = x - prev
+      prev = x
       acc |= gap << used
       used += w
       if (used >= 64) {
@@ -580,8 +588,33 @@ object RelativeCompactor {
     keys(0) = first
     var prev = first
     var wrapped = false
-    var bit = 0L
     var i = 1
+    if (fast >= 8) {
+      // Eight gaps take w bytes, so within a group of eight each load's
+      // offset and shift are fixed. One group cannot wrap twice: its gaps
+      // sum to less than 2^59.
+      val (o1, o2, o3, o4, o5, o6, o7) = (w >>> 3, 2 * w >>> 3, 3 * w >>> 3, 4 * w >>> 3, 5 * w >>> 3, 6 * w >>> 3, 7 * w >>> 3)
+      val (s1, s2, s3, s4, s5, s6, s7) = (w & 7, 2 * w & 7, 3 * w & 7, 4 * w & 7, 5 * w & 7, 6 * w & 7, 7 * w & 7)
+      var p = at
+      val end = i + (fast & ~7)
+      while (i < end) {
+        val x0 = prev + (le.getLong(p) & mask)
+        val x1 = x0 + ((le.getLong(p + o1) >>> s1) & mask)
+        val x2 = x1 + ((le.getLong(p + o2) >>> s2) & mask)
+        val x3 = x2 + ((le.getLong(p + o3) >>> s3) & mask)
+        val x4 = x3 + ((le.getLong(p + o4) >>> s4) & mask)
+        val x5 = x4 + ((le.getLong(p + o5) >>> s5) & mask)
+        val x6 = x5 + ((le.getLong(p + o6) >>> s6) & mask)
+        val x7 = x6 + ((le.getLong(p + o7) >>> s7) & mask)
+        keys(i) = x0; keys(i + 1) = x1; keys(i + 2) = x2; keys(i + 3) = x3
+        keys(i + 4) = x4; keys(i + 5) = x5; keys(i + 6) = x6; keys(i + 7) = x7
+        wrapped |= x7 < prev
+        prev = x7
+        p += w
+        i += 8
+      }
+    }
+    var bit = (i - 1).toLong * w
     while (i <= fast) {
       val x = prev + ((le.getLong(at + (bit >>> 3).toInt) >>> (bit & 7)) & mask)
       wrapped |= x < prev

@@ -188,7 +188,7 @@ object ReqSketch {
     * it would have been.
     */
   def toBytes(s: ReqSketch): Array[Byte] = {
-    val out = ByteBuffer.allocate(HeaderBytes + s.levels.iterator.map(_.recordBytesBound).sum)
+    val out = ByteBuffer.allocate(HeaderBytes + s.levels.iterator.map(_.recordBytes).sum)
     val (tag, fixedK) = s.profile match {
       case Practical => (0, 0)
       case Theory    => (1, 0)
@@ -198,7 +198,7 @@ object ReqSketch {
       .put(tag.toByte).putInt(fixedK).putLong(s.seed).putLong(s.count).putLong(s.bound)
       .putInt(s.k).putInt(s.sections).putInt(s.levels.size)
     s.levels.foreach(_.writeRecord(out))
-    java.util.Arrays.copyOf(out.array(), out.position())
+    out.array()
   }
 
   /** Decodes `toBytes` output. Foreign bytes fail with an `IOException`:

@@ -63,7 +63,7 @@ class RelativeCompactorSpec extends AnyFunSuite {
     for (run <- runs) {
       val c = new RelativeCompactor(64, 8)
       c.mergeKeys(run, run.length)
-      val record = java.nio.ByteBuffer.allocate(c.recordBytesBound)
+      val record = java.nio.ByteBuffer.allocate(c.recordBytes)
       c.writeRecord(record)
       val back = RelativeCompactor.read(record.flip(), 64, 8)
       assert(!record.hasRemaining && back.size == run.length)
@@ -298,7 +298,7 @@ class RelativeCompactorSpec extends AnyFunSuite {
   }
 
   private def serialRoundTrip(c: RelativeCompactor): RelativeCompactor = {
-    val record = java.nio.ByteBuffer.allocate(c.recordBytesBound)
+    val record = java.nio.ByteBuffer.allocate(c.recordBytes)
     c.writeRecord(record)
     RelativeCompactor.read(record.flip(), c.k, c.numSections)
   }
