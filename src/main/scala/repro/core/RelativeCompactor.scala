@@ -298,54 +298,16 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     while (used > 0) { out.put(acc.toByte); acc >>>= 8; used -= 8 }
   }
 
-  /** Replaces this level with the version 2 record read from `in`, for a
-    * sketch whose levels have section size `newK` and `sections` sections.
-    * Parameters the constructor would reject, an item count outside
-    * `[0, B]`, a width above 64 or too few bytes are rejected before the
-    * keys are allocated, and keys past `Long.MaxValue` once all are read.
+  /** Makes `keys(0 until size)`, ascending in its first `prefix`, the
+    * level's items, with schedule state `c`.
     */
-  private def readRecord(in: ByteBuffer, newK: Int, sections: Int): Unit = {
-    need(in, 12)
-    val (size, c) = (in.getInt(), in.getLong())
-    checkRecord(newK, sections, size)
-    k = newK
-    numSections = sections
-    state = c
-    buf = if (size == 0) Array.emptyLongArray else readKeys(in, size)
+  private def load(keys: Array[Long], size: Int, prefix: Int, c: Long): RelativeCompactor = {
+    buf = keys
     len = size
-    main = size
-    sorted = size
-  }
-
-  /** Replaces this level with the version 1 record read from `in`, whose
-    * parameters must be the sketch's `newK` and `sections`. The sorted
-    * prefix is re-derived by the scan that encodes the items, never taken
-    * from the bytes, so an unsorted record still compacts correctly.
-    */
-  private def readRecordV1(in: ByteBuffer, newK: Int, sections: Int): Unit = {
-    need(in, 20)
-    val (recordK, size, recordSections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
-    checkRecord(recordK, recordSections, size)
-    if (recordK != newK || recordSections != sections)
-      throw new InvalidObjectException(s"level parameters ($recordK, $recordSections)" +
-        s" differ from the sketch's ($newK, $sections)")
-    need(in, 8L * size)
-    k = newK
-    numSections = sections
-    state = c
-    buf = new Array[Long](size)
-    in.asLongBuffer().get(buf)
-    in.position(in.position() + 8 * size)
-    len = size
-    var prefix = size // the ascending prefix's length
-    var i = 0
-    while (i < size) {
-      buf(i) = keyOf(buf(i))
-      if (prefix == size && i > 0 && buf(i - 1) > buf(i)) prefix = i
-      i += 1
-    }
     main = prefix
     sorted = prefix
+    state = c
+    this
   }
 
   /** The greatest stored key; the level must not be empty. */
@@ -615,22 +577,17 @@ object RelativeCompactor {
       }
     }
     var bit = (i - 1).toLong * w
-    while (i <= fast) {
-      val x = prev + ((le.getLong(at + (bit >>> 3).toInt) >>> (bit & 7)) & mask)
-      wrapped |= x < prev
-      keys(i) = x
-      prev = x
-      bit += w
-      i += 1
-    }
     while (i < size) {
       var gap = 0L
-      var got = 0 // bits of the gap read
-      while (got < w) {
-        val p = bit + got
-        val off = (p & 7).toInt
-        gap |= ((le.get(at + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
-        got += 8 - off
+      if (i <= fast) gap = le.getLong(at + (bit >>> 3).toInt) >>> (bit & 7)
+      else {
+        var got = 0 // bits of the gap read
+        while (got < w) {
+          val p = bit + got
+          val off = (p & 7).toInt
+          gap |= ((le.get(at + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
+          got += 8 - off
+        }
       }
       val x = prev + (gap & mask)
       wrapped |= x < prev
@@ -644,21 +601,43 @@ object RelativeCompactor {
   }
 
   /** Reads one version 2 level record (see `writeRecord`) of a sketch whose
-    * levels have section size `k` and `sections` sections.
+    * levels have section size `k` and `sections` sections. Parameters the
+    * constructor would reject, an item count outside `[0, B]`, a width
+    * above 64 or too few bytes are rejected before the keys are allocated,
+    * and keys past `Long.MaxValue` once all are read.
     */
   def read(in: ByteBuffer, k: Int, sections: Int): RelativeCompactor = {
-    val c = new RelativeCompactor(2, 2)
-    c.readRecord(in, k, sections)
-    c
+    need(in, 12)
+    val (size, c) = (in.getInt(), in.getLong())
+    checkRecord(k, sections, size)
+    val keys = if (size == 0) Array.emptyLongArray else readKeys(in, size)
+    new RelativeCompactor(k, sections).load(keys, size, size, c)
   }
 
   /** Reads one version 1 level record, whose parameters must be `k` and
-    * `sections`.
+    * `sections`. The sorted prefix is re-derived by the scan that encodes
+    * the items, never taken from the bytes, so an unsorted record still
+    * compacts correctly.
     */
   def readV1(in: ByteBuffer, k: Int, sections: Int): RelativeCompactor = {
-    val c = new RelativeCompactor(2, 2)
-    c.readRecordV1(in, k, sections)
-    c
+    need(in, 20)
+    val (recordK, size, recordSections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
+    checkRecord(recordK, recordSections, size)
+    if (recordK != k || recordSections != sections)
+      throw new InvalidObjectException(s"level parameters ($recordK, $recordSections)" +
+        s" differ from the sketch's ($k, $sections)")
+    need(in, 8L * size)
+    val keys = new Array[Long](size)
+    in.asLongBuffer().get(keys)
+    in.position(in.position() + 8 * size)
+    var prefix = size // the ascending prefix's length
+    var i = 0
+    while (i < size) {
+      keys(i) = keyOf(keys(i))
+      if (prefix == size && i > 0 && keys(i - 1) > keys(i)) prefix = i
+      i += 1
+    }
+    new RelativeCompactor(k, sections).load(keys, size, prefix, c)
   }
 
   /** Fails with an `EOFException` unless `in` holds `bytes` more bytes. */
