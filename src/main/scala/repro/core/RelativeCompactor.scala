@@ -268,10 +268,14 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   /** Bytes `writeRecord` writes. */
   def recordBytes: Int = if (len == 0) 12 else 21 + packedBytes(gapWidth, len).toInt
 
-  /** Writes the level record: the keys as they are stored, their gaps packed
-    * through a 64-bit accumulator. The pending tail is sorted and the short
-    * run folded first: the tail sort is the one the next compaction would
-    * do, so the level's future is unchanged.
+  /** Writes the level record into `out`'s array: the keys as they are
+    * stored, their gaps packed through a 64-bit accumulator. While 8 bytes
+    * fit and w ≤ 56, every gap stores the accumulator's 8 bytes and drops
+    * the whole bytes it holds; a store may run up to 7 bytes past the
+    * record, into bytes written later. The rest flush the accumulator when
+    * it is full. The pending tail is sorted and the short run folded first:
+    * the tail sort is the one the next compaction would do, so the level's
+    * future is unchanged.
     */
   def writeRecord(out: ByteBuffer): Unit = {
     val w = gapWidth
@@ -279,9 +283,22 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     if (len == 0) return
     var prev = buf(0)
     out.putLong(prev).put(w.toByte)
+    val b = out.array()
+    var pos = out.arrayOffset() + out.position()
     var acc = 0L // the packed bits not yet written, `used` of them
     var used = 0
     var i = 1
+    if (w <= 56) while (i < len && pos + 8 <= b.length) {
+      val x = buf(i)
+      acc |= (x - prev) << used
+      prev = x
+      used += w
+      LongLE.set(b, pos, acc)
+      pos += used >>> 3
+      acc >>>= used & ~7
+      used &= 7
+      i += 1
+    }
     while (i < len) {
       val x = buf(i)
       val gap = x - prev
@@ -289,12 +306,14 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
       acc |= gap << used
       used += w
       if (used >= 64) {
-        out.putLong(java.lang.Long.reverseBytes(acc))
+        LongLE.set(b, pos, acc)
+        pos += 8
         used -= 64
         acc = if (used == 0) 0L else gap >>> (w - used)
       }
       i += 1
     }
+    out.position(pos - out.arrayOffset())
     while (used > 0) { out.put(acc.toByte); acc >>>= 8; used -= 8 }
   }
 
@@ -544,7 +563,8 @@ object RelativeCompactor {
     in.position(at + bytes.toInt)
     val keys = new Array[Long](size)
     if (w == 0) { java.util.Arrays.fill(keys, first); return keys }
-    val le = in.duplicate().order(ByteOrder.LITTLE_ENDIAN)
+    val b = in.array()
+    val base = in.arrayOffset() + at
     val mask = -1L >>> (64 - w)
     val fast = if (w > 56 || bytes < 8) 0 else math.min(size - 1, (8 * bytes - 57) / w + 1).toInt
     keys(0) = first
@@ -557,17 +577,17 @@ object RelativeCompactor {
       // sum to less than 2^59.
       val (o1, o2, o3, o4, o5, o6, o7) = (w >>> 3, 2 * w >>> 3, 3 * w >>> 3, 4 * w >>> 3, 5 * w >>> 3, 6 * w >>> 3, 7 * w >>> 3)
       val (s1, s2, s3, s4, s5, s6, s7) = (w & 7, 2 * w & 7, 3 * w & 7, 4 * w & 7, 5 * w & 7, 6 * w & 7, 7 * w & 7)
-      var p = at
+      var p = base
       val end = i + (fast & ~7)
       while (i < end) {
-        val x0 = prev + (le.getLong(p) & mask)
-        val x1 = x0 + ((le.getLong(p + o1) >>> s1) & mask)
-        val x2 = x1 + ((le.getLong(p + o2) >>> s2) & mask)
-        val x3 = x2 + ((le.getLong(p + o3) >>> s3) & mask)
-        val x4 = x3 + ((le.getLong(p + o4) >>> s4) & mask)
-        val x5 = x4 + ((le.getLong(p + o5) >>> s5) & mask)
-        val x6 = x5 + ((le.getLong(p + o6) >>> s6) & mask)
-        val x7 = x6 + ((le.getLong(p + o7) >>> s7) & mask)
+        val x0 = prev + (getLongLE(b, p) & mask)
+        val x1 = x0 + ((getLongLE(b, p + o1) >>> s1) & mask)
+        val x2 = x1 + ((getLongLE(b, p + o2) >>> s2) & mask)
+        val x3 = x2 + ((getLongLE(b, p + o3) >>> s3) & mask)
+        val x4 = x3 + ((getLongLE(b, p + o4) >>> s4) & mask)
+        val x5 = x4 + ((getLongLE(b, p + o5) >>> s5) & mask)
+        val x6 = x5 + ((getLongLE(b, p + o6) >>> s6) & mask)
+        val x7 = x6 + ((getLongLE(b, p + o7) >>> s7) & mask)
         keys(i) = x0; keys(i + 1) = x1; keys(i + 2) = x2; keys(i + 3) = x3
         keys(i + 4) = x4; keys(i + 5) = x5; keys(i + 6) = x6; keys(i + 7) = x7
         wrapped |= x7 < prev
@@ -579,13 +599,13 @@ object RelativeCompactor {
     var bit = (i - 1).toLong * w
     while (i < size) {
       var gap = 0L
-      if (i <= fast) gap = le.getLong(at + (bit >>> 3).toInt) >>> (bit & 7)
+      if (i <= fast) gap = getLongLE(b, base + (bit >>> 3).toInt) >>> (bit & 7)
       else {
         var got = 0 // bits of the gap read
         while (got < w) {
           val p = bit + got
           val off = (p & 7).toInt
-          gap |= ((le.get(at + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
+          gap |= ((b(base + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
           got += 8 - off
         }
       }
@@ -600,11 +620,18 @@ object RelativeCompactor {
     keys
   }
 
+  /** Little-endian 8-byte loads and stores at any index of a byte array. */
+  private val LongLE: java.lang.invoke.VarHandle =
+    java.lang.invoke.MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
+
+  @inline private def getLongLE(b: Array[Byte], i: Int): Long = LongLE.get(b, i): Long
+
   /** Reads one version 2 level record (see `writeRecord`) of a sketch whose
     * levels have section size `k` and `sections` sections. Parameters the
     * constructor would reject, an item count outside `[0, B]`, a width
     * above 64 or too few bytes are rejected before the keys are allocated,
-    * and keys past `Long.MaxValue` once all are read.
+    * and keys past `Long.MaxValue` once all are read. `in` must be backed
+    * by an array, as `ReqSketch.fromBytes`'s is.
     */
   def read(in: ByteBuffer, k: Int, sections: Int): RelativeCompactor = {
     need(in, 12)
