@@ -546,11 +546,11 @@ object RelativeCompactor {
   private def packedBytes(w: Int, size: Int): Long = (w.toLong * (size - 1) + 7) >>> 3
 
   /** Reads the keys of a version 2 record of `size` ≥ 1 keys, after its
-    * count and state. Gaps whose 8 bytes from their first byte lie in the
-    * record cost one little-endian `getLong`, a shift, a mask and an add
-    * when `w` ≤ 56; wider gaps and the last few bytes are read byte by byte.
-    * A sum past `Long.MaxValue` wraps below the key before it, which one
-    * flag collects for a single check at the end.
+    * count and state. When `w` ≤ 56, a gap whose 8 bytes from its first
+    * byte lie in the record costs one little-endian 8-byte load, a shift, a
+    * mask and an add, eight gaps at a time; wider gaps and the last few
+    * bytes are read byte by byte. A sum past `Long.MaxValue` wraps below the
+    * key before it, which one flag collects for a single check at the end.
     */
   private def readKeys(in: ByteBuffer, size: Int): Array[Long] = {
     need(in, 9)
