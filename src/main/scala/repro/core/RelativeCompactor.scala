@@ -255,9 +255,10 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   // numSections: int32, C: int64`, then `size` big-endian float64 items.
 
   /** Bit length of the widest gap between adjacent keys, the level read as
-    * one run: every gap ORed together.
+    * one run: every gap ORed together. The tail sort is the one the next
+    * compaction would do, so the level's future is unchanged.
     */
-  private def gapWidth: Int = {
+  private[core] def gapWidth: Int = {
     oneRun()
     var gaps = 0L
     var i = 1
@@ -265,20 +266,14 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     64 - java.lang.Long.numberOfLeadingZeros(gaps)
   }
 
-  /** Bytes `writeRecord` writes. */
-  def recordBytes: Int = if (len == 0) 12 else 21 + packedBytes(gapWidth, len).toInt
+  /** Bytes `writeRecord` writes at width `w` (`gapWidth`). */
+  private[core] def recordBytes(w: Int): Int = if (len == 0) 12 else 21 + packedBytes(w, len).toInt
 
-  /** Writes the level record into `out`'s array: the keys as they are
-    * stored, their gaps packed through a 64-bit accumulator. While 8 bytes
-    * fit and w ≤ 56, every gap stores the accumulator's 8 bytes and drops
-    * the whole bytes it holds; a store may run up to 7 bytes past the
-    * record, into bytes written later. The rest flush the accumulator when
-    * it is full. The pending tail is sorted and the short run folded first:
-    * the tail sort is the one the next compaction would do, so the level's
-    * future is unchanged.
+  /** Writes the level record, with gaps `w` = `gapWidth` bits wide, into
+    * `out`'s array: the keys as they are stored, their gaps packed through
+    * a 64-bit accumulator that is stored little-endian whenever it is full.
     */
-  def writeRecord(out: ByteBuffer): Unit = {
-    val w = gapWidth
+  private[core] def writeRecord(out: ByteBuffer, w: Int): Unit = {
     out.putInt(len).putLong(state)
     if (len == 0) return
     var prev = buf(0)
@@ -288,17 +283,6 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     var acc = 0L // the packed bits not yet written, `used` of them
     var used = 0
     var i = 1
-    if (w <= 56) while (i < len && pos + 8 <= b.length) {
-      val x = buf(i)
-      acc |= (x - prev) << used
-      prev = x
-      used += w
-      LongLE.set(b, pos, acc)
-      pos += used >>> 3
-      acc >>>= used & ~7
-      used &= 7
-      i += 1
-    }
     while (i < len) {
       val x = buf(i)
       val gap = x - prev
@@ -328,9 +312,6 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     state = c
     this
   }
-
-  /** The greatest stored key; the level must not be empty. */
-  private[core] def greatestKey: Long = { oneRun(); buf(len - 1) }
 }
 
 object RelativeCompactor {
@@ -548,9 +529,9 @@ object RelativeCompactor {
   /** Reads the keys of a version 2 record of `size` ≥ 1 keys, after its
     * count and state. When `w` ≤ 56, a gap whose 8 bytes from its first
     * byte lie in the record costs one little-endian 8-byte load, a shift, a
-    * mask and an add, eight gaps at a time; wider gaps and the last few
-    * bytes are read byte by byte. A sum past `Long.MaxValue` wraps below the
-    * key before it, which one flag collects for a single check at the end.
+    * mask and an add; wider gaps and the last few bytes are read byte by
+    * byte. A sum past `Long.MaxValue` wraps below the key before it, which
+    * one flag collects for a single check at the end.
     */
   private def readKeys(in: ByteBuffer, size: Int): Array[Long] = {
     need(in, 9)
@@ -566,48 +547,29 @@ object RelativeCompactor {
     val b = in.array()
     val base = in.arrayOffset() + at
     val mask = -1L >>> (64 - w)
+    // For gaps 1..fast, the 8 bytes from the gap's first byte lie in the record.
     val fast = if (w > 56 || bytes < 8) 0 else math.min(size - 1, (8 * bytes - 57) / w + 1).toInt
     keys(0) = first
     var prev = first
     var wrapped = false
     var i = 1
-    if (fast >= 8) {
-      // Eight gaps take w bytes, so within a group of eight each load's
-      // offset and shift are fixed. One group cannot wrap twice: its gaps
-      // sum to less than 2^59.
-      val (o1, o2, o3, o4, o5, o6, o7) = (w >>> 3, 2 * w >>> 3, 3 * w >>> 3, 4 * w >>> 3, 5 * w >>> 3, 6 * w >>> 3, 7 * w >>> 3)
-      val (s1, s2, s3, s4, s5, s6, s7) = (w & 7, 2 * w & 7, 3 * w & 7, 4 * w & 7, 5 * w & 7, 6 * w & 7, 7 * w & 7)
-      var p = base
-      val end = i + (fast & ~7)
-      while (i < end) {
-        val x0 = prev + (getLongLE(b, p) & mask)
-        val x1 = x0 + ((getLongLE(b, p + o1) >>> s1) & mask)
-        val x2 = x1 + ((getLongLE(b, p + o2) >>> s2) & mask)
-        val x3 = x2 + ((getLongLE(b, p + o3) >>> s3) & mask)
-        val x4 = x3 + ((getLongLE(b, p + o4) >>> s4) & mask)
-        val x5 = x4 + ((getLongLE(b, p + o5) >>> s5) & mask)
-        val x6 = x5 + ((getLongLE(b, p + o6) >>> s6) & mask)
-        val x7 = x6 + ((getLongLE(b, p + o7) >>> s7) & mask)
-        keys(i) = x0; keys(i + 1) = x1; keys(i + 2) = x2; keys(i + 3) = x3
-        keys(i + 4) = x4; keys(i + 5) = x5; keys(i + 6) = x6; keys(i + 7) = x7
-        wrapped |= x7 < prev
-        prev = x7
-        p += w
-        i += 8
-      }
+    var bit = 0L // where gap i starts
+    while (i <= fast) {
+      val x = prev + ((getLongLE(b, base + (bit >>> 3).toInt) >>> (bit & 7)) & mask)
+      wrapped |= x < prev
+      keys(i) = x
+      prev = x
+      bit += w
+      i += 1
     }
-    var bit = (i - 1).toLong * w
     while (i < size) {
       var gap = 0L
-      if (i <= fast) gap = getLongLE(b, base + (bit >>> 3).toInt) >>> (bit & 7)
-      else {
-        var got = 0 // bits of the gap read
-        while (got < w) {
-          val p = bit + got
-          val off = (p & 7).toInt
-          gap |= ((b(base + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
-          got += 8 - off
-        }
+      var got = 0 // bits of the gap read
+      while (got < w) {
+        val p = bit + got
+        val off = (p & 7).toInt
+        gap |= ((b(base + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
+        got += 8 - off
       }
       val x = prev + (gap & mask)
       wrapped |= x < prev

@@ -188,7 +188,8 @@ object ReqSketch {
     * it would have been.
     */
   def toBytes(s: ReqSketch): Array[Byte] = {
-    val out = ByteBuffer.allocate(HeaderBytes + s.levels.iterator.map(_.recordBytes).sum)
+    val widths = s.levels.map(_.gapWidth)
+    val out = ByteBuffer.allocate(HeaderBytes + s.levels.indices.iterator.map(h => s.levels(h).recordBytes(widths(h))).sum)
     val (tag, fixedK) = s.profile match {
       case Practical => (0, 0)
       case Theory    => (1, 0)
@@ -197,7 +198,7 @@ object ReqSketch {
     out.putInt(Magic).put(Version).put(0.toByte).putDouble(s.eps).putDouble(s.delta)
       .put(tag.toByte).putInt(fixedK).putLong(s.seed).putLong(s.count).putLong(s.bound)
       .putInt(s.k).putInt(s.sections).putInt(s.levels.size)
-    s.levels.foreach(_.writeRecord(out))
+    for (h <- s.levels.indices) s.levels(h).writeRecord(out, widths(h))
     out.array()
   }
 
@@ -206,11 +207,15 @@ object ReqSketch {
     * magic or trailing bytes, `InvalidObjectException` for an unknown
     * version, flags or profile, or invalid parameters, counts or levels
     * (among them a bound N below the profile's initial bound, which no
-    * encoder writes, and where squaring never grows N = 0 or 1),
-    * each raised before anything is allocated for it, or for keys past
-    * `Long.MaxValue`, a NaN item (which `update` never stores) or a stored
-    * weight Σ_h 2^h·size_h above `Long.MaxValue`, checked as each level is
-    * read. Version 1 bytes decode to the same sketch as version 2.
+    * encoder writes, and where squaring never grows N = 0 or 1, and a k or
+    * section count other than the profile's for ε, δ and N), each raised
+    * before anything is allocated for it, or for keys past `Long.MaxValue`,
+    * a NaN item (which `update` never stores) or a stored weight
+    * Σ_h 2^h·size_h above `Long.MaxValue`, checked as each level is read.
+    * A level is allocated at most B keys, the capacity that ε, δ and N fix;
+    * a version 2 record of equal keys claims them in 21 bytes, so B, not the
+    * input's length, bounds what decoding allocates. Version 1 bytes decode
+    * to the same sketch as version 2.
     */
   def fromBytes(b: Array[Byte]): ReqSketch = {
     val in = ByteBuffer.wrap(b)
@@ -236,9 +241,17 @@ object ReqSketch {
       throw new InvalidObjectException(s"invalid n=$n N=$bound: need 0 <= n <= N and N at least " +
         s"the initial bound ${profile.initialBound(eps, delta)}")
     val (k, sections, numLevels) = (in.getInt(), in.getInt(), in.getInt())
+    // The constructor and `growBound` derive k and sections from N, and a
+    // level record may claim up to B = 2·k·sections keys in a few bytes.
+    val profileK = profile.sectionSize(bound, eps, delta)
+    if (k != profileK || sections != profile.numSections(bound, k))
+      throw new InvalidObjectException(s"k=$k numSections=$sections differ from the profile's " +
+        s"k=$profileK numSections=${profile.numSections(bound, profileK)} for N=$bound")
     if (numLevels < 1 || numLevels > MaxLevels)
       throw new InvalidObjectException(s"level count $numLevels outside [1, $MaxLevels]")
-    val s = new ReqSketch(eps, delta, profile, seed)
+    val s = try new ReqSketch(eps, delta, profile, seed) catch {
+      case e: IllegalArgumentException => throw new InvalidObjectException(e.getMessage)
+    }
     s.count = n
     s.bound = bound
     s.k = k
@@ -249,7 +262,7 @@ object ReqSketch {
     for (h <- 0 until numLevels) {
       val level =
         if (version == 1) RelativeCompactor.readV1(in, k, sections) else RelativeCompactor.read(in, k, sections)
-      if (level.size > 0 && level.greatestKey > maxKey)
+      if (level.countAtMost(maxKey) < level.size)
         throw new InvalidObjectException(s"NaN item at level $h")
       if (level.size > ((Long.MaxValue - weight) >> h))
         throw new InvalidObjectException(s"stored weight overflows a Long at level $h")

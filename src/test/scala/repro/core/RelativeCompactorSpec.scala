@@ -63,8 +63,9 @@ class RelativeCompactorSpec extends AnyFunSuite {
     for (run <- runs) {
       val c = new RelativeCompactor(64, 8)
       c.mergeKeys(run, run.length)
-      val record = java.nio.ByteBuffer.allocate(c.recordBytes)
-      c.writeRecord(record)
+      val w = c.gapWidth
+      val record = java.nio.ByteBuffer.allocate(c.recordBytes(w))
+      c.writeRecord(record, w)
       val back = RelativeCompactor.read(record.flip(), 64, 8)
       assert(!record.hasRemaining && back.size == run.length)
       assert(back.sortedKeys.take(back.size).sameElements(run))
@@ -298,8 +299,9 @@ class RelativeCompactorSpec extends AnyFunSuite {
   }
 
   private def serialRoundTrip(c: RelativeCompactor): RelativeCompactor = {
-    val record = java.nio.ByteBuffer.allocate(c.recordBytes)
-    c.writeRecord(record)
+    val w = c.gapWidth
+    val record = java.nio.ByteBuffer.allocate(c.recordBytes(w))
+    c.writeRecord(record, w)
     RelativeCompactor.read(record.flip(), c.k, c.numSections)
   }
 

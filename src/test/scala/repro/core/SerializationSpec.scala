@@ -373,6 +373,31 @@ class SerializationSpec extends AnyFunSuite {
       intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(patchedAt(offset, bad)))
   }
 
+  // A level record of equal keys claims up to B keys in 21 bytes, so B must
+  // follow from the header's ε, δ and N, as it does in every sketch.
+  test("v2: a header whose k or numSections differ from the profile's is refused") {
+    val header = ReqSketch.toBytes(ReqSketch(0.1, 0.1, FixedK(8), seed = 46)).take(51)
+    def oneLevel(k: Int, sections: Int, size: Int): Array[Byte] =
+      java.nio.ByteBuffer.allocate(63 + 21).put(header).putInt(k).putInt(sections).putInt(1)
+        .putInt(size).putLong(0L).putLong(RelativeCompactor.key(1.0)).put(0.toByte).array()
+    val t = ReqSketch.fromBytes(oneLevel(8, 4, 64)) // N = 64: k = 8, 4 sections, B = 64
+    assert(t.bufferCapacity == 64 && t.itemsStored == 64 && t.rank(1.0) == 64)
+    val bomb = oneLevel(1 << 18, 2, 1 << 20) // would allocate 8 MiB from 84 bytes
+    assert(bomb.length == 84)
+    for (bytes <- Seq(bomb, oneLevel(8, 5, 64), oneLevel(10, 4, 64)))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+  }
+
+  test("an ε whose profile parameters a level rejects fails with an InvalidObjectException") {
+    val (eps, delta) = (1e-9, 0.1)
+    val bound = Practical.initialBound(eps, delta)
+    val k = Practical.sectionSize(bound, eps, delta)
+    val bytes = ReqSketch.toBytes(ReqSketch(0.1, delta, seed = 47))
+    java.nio.ByteBuffer.wrap(bytes).putDouble(6, eps).putLong(43, bound)
+      .putInt(51, k).putInt(55, Practical.numSections(bound, k))
+    intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+  }
+
   /** Full state: parameters, levels, schedule states and the coreset. */
   private def state(s: ReqSketch) =
     (s.n, s.nBound, s.sectionSize, s.bufferCapacity, s.levelSizes,
