@@ -269,17 +269,17 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   /** Bytes `writeRecord` writes at width `w` (`gapWidth`). */
   private[core] def recordBytes(w: Int): Int = if (len == 0) 12 else 21 + packedBytes(w, len).toInt
 
-  /** Writes the level record, with gaps `w` = `gapWidth` bits wide, into
-    * `out`'s array: the keys as they are stored, their gaps packed through
-    * a 64-bit accumulator that is stored little-endian whenever it is full.
+  /** Writes the level record, with gaps `w` = `gapWidth` bits wide, to
+    * `out`, which must be big-endian (a `ByteBuffer`'s default order): the
+    * keys as they are stored, their gaps packed through a 64-bit
+    * accumulator that is put byte-reversed, so little-endian, whenever it
+    * is full.
     */
   private[core] def writeRecord(out: ByteBuffer, w: Int): Unit = {
     out.putInt(len).putLong(state)
     if (len == 0) return
     var prev = buf(0)
     out.putLong(prev).put(w.toByte)
-    val b = out.array()
-    var pos = out.arrayOffset() + out.position()
     var acc = 0L // the packed bits not yet written, `used` of them
     var used = 0
     var i = 1
@@ -290,14 +290,12 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
       acc |= gap << used
       used += w
       if (used >= 64) {
-        LongLE.set(b, pos, acc)
-        pos += 8
+        out.putLong(java.lang.Long.reverseBytes(acc))
         used -= 64
         acc = if (used == 0) 0L else gap >>> (w - used)
       }
       i += 1
     }
-    out.position(pos - out.arrayOffset())
     while (used > 0) { out.put(acc.toByte); acc >>>= 8; used -= 8 }
   }
 
@@ -582,7 +580,7 @@ object RelativeCompactor {
     keys
   }
 
-  /** Little-endian 8-byte loads and stores at any index of a byte array. */
+  /** Little-endian 8-byte loads at any index of a byte array. */
   private val LongLE: java.lang.invoke.VarHandle =
     java.lang.invoke.MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
 
