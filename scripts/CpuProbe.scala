@@ -17,7 +17,12 @@ package repro.core
   * The doubles are uniform in [0, 1) unless a third argument names another
   * stream, which feeds the sort kernels tails of another shape:
   *  - `clustered`: 1 in 64 uniform, the rest in [0.5, 0.5 + 1e-9);
-  *  - `dups`: the integers 0 to 7.
+  *  - `dups`: the integers 0 to 7;
+  *  - `signed`: uniform in [−1, 1);
+  *  - `normal`: normal(0, 1);
+  *  - `rounded`: uniform in [0, 1) rounded to a multiple of 0.001.
+  * The last three give the wire format levels of other shapes: keys of both
+  * signs, and many equal keys.
   * Prints the median over `rounds` rounds, the first two dropped as warm-up;
   * for the last round's `fold` result and `ingest` sketch, `toBytes` bytes
   * per stored item and a SHA-256 of the sketch state (parameters, level
@@ -46,6 +51,9 @@ object CpuProbe {
       case "uniform" => () => rng.nextDouble()
       case "clustered" => () => if (rng.nextInt(64) == 0) rng.nextDouble() else 0.5 + 1e-9 * rng.nextDouble()
       case "dups" => () => rng.nextInt(8).toDouble
+      case "signed" => () => 2 * rng.nextDouble() - 1
+      case "normal" => () => rng.nextGaussian()
+      case "rounded" => () => math.rint(rng.nextDouble() * 1000) / 1000
     }
     val data = Array.fill(chunks * c)(next())
     val mx = java.lang.management.ManagementFactory.getThreadMXBean

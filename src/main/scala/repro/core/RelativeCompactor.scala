@@ -246,57 +246,82 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   // ------------------------------------------------------------ level record
   //
   // The one on-wire definition of a level, used by `ReqSketch.toBytes`
-  // (version 2): `size` (int32) and `C` (int64); when `size > 0`, the first
-  // key (int64), a width byte `w`, the bit length of the widest gap between
-  // adjacent keys, and the `size − 1` gaps, `w` bits each, packed low bit
-  // first into ⌈w·(size − 1)/8⌉ little-endian bytes. The level is written as
-  // one sorted run, so every gap is non-negative; `k` and `numSections` come
-  // from the sketch header. Version 1 (`readV1`) wrote `k, size,
+  // (version 3): `size` (int32) and `C` (int64); when `size > 0`, the first
+  // key (int64), then the `size − 1` gaps between adjacent keys in blocks of
+  // `GapBlock`, the last block holding the rest (a one-key record has one
+  // empty block). A block is a width byte `w`, the bit length of its widest
+  // gap, and its gaps, `w` bits each, packed low bit first into ⌈w·gaps/8⌉
+  // little-endian bytes, so a full block is exactly `w` 64-bit words. The
+  // level is written as one sorted run, so every gap is non-negative; `k`
+  // and `numSections` come from the sketch header. A version 2 record is one
+  // block of all `size − 1` gaps. Version 1 (`readV1`) wrote `k, size,
   // numSections: int32, C: int64`, then `size` big-endian float64 items.
 
-  /** Bit length of the widest gap between adjacent keys, the level read as
-    * one run: every gap ORed together. The tail sort is the one the next
+  /** Bit length of the widest gap of each block, the level read as one
+    * run: the block's gaps ORed together. The tail sort is the one the next
     * compaction would do, so the level's future is unchanged.
     */
-  private[core] def gapWidth: Int = {
+  private[core] def gapWidths: Array[Byte] = {
     oneRun()
-    var gaps = 0L
+    val widths = new Array[Byte](blocks(len, GapBlock))
     var i = 1
-    while (i < len) { gaps |= buf(i) - buf(i - 1); i += 1 }
-    64 - java.lang.Long.numberOfLeadingZeros(gaps)
+    var b = 0
+    while (b < widths.length) {
+      val end = math.min(len, i + GapBlock)
+      var gaps = 0L
+      while (i < end) { gaps |= buf(i) - buf(i - 1); i += 1 }
+      widths(b) = (64 - java.lang.Long.numberOfLeadingZeros(gaps)).toByte
+      b += 1
+    }
+    widths
   }
 
-  /** Bytes `writeRecord` writes at width `w` (`gapWidth`). */
-  private[core] def recordBytes(w: Int): Int = if (len == 0) 12 else 21 + packedBytes(w, len).toInt
+  /** Bytes `writeRecord` writes with block widths `widths` (`gapWidths`). */
+  private[core] def recordBytes(widths: Array[Byte]): Int = {
+    var bytes = if (len == 0) 12L else 20L
+    var b = 0
+    while (b < widths.length) {
+      bytes += 1 + packedBytes(widths(b), math.min(GapBlock, len - 1 - b * GapBlock))
+      b += 1
+    }
+    bytes.toInt
+  }
 
-  /** Writes the level record, with gaps `w` = `gapWidth` bits wide, to
+  /** Writes the level record, with block widths `widths` = `gapWidths`, to
     * `out`, which must be big-endian (a `ByteBuffer`'s default order): the
-    * keys as they are stored, their gaps packed through a 64-bit
+    * keys as they are stored, each block's gaps packed through a 64-bit
     * accumulator that is put byte-reversed, so little-endian, whenever it
-    * is full.
+    * is full, which a full block leaves empty.
     */
-  private[core] def writeRecord(out: ByteBuffer, w: Int): Unit = {
+  private[core] def writeRecord(out: ByteBuffer, widths: Array[Byte]): Unit = {
     out.putInt(len).putLong(state)
     if (len == 0) return
     var prev = buf(0)
-    out.putLong(prev).put(w.toByte)
-    var acc = 0L // the packed bits not yet written, `used` of them
-    var used = 0
+    out.putLong(prev)
     var i = 1
-    while (i < len) {
-      val x = buf(i)
-      val gap = x - prev
-      prev = x
-      acc |= gap << used
-      used += w
-      if (used >= 64) {
-        out.putLong(java.lang.Long.reverseBytes(acc))
-        used -= 64
-        acc = if (used == 0) 0L else gap >>> (w - used)
+    var b = 0
+    while (b < widths.length) {
+      val w = widths(b)
+      out.put(w)
+      val end = math.min(len, i + GapBlock)
+      var acc = 0L // the packed bits not yet written, `used` of them
+      var used = 0
+      while (i < end) {
+        val x = buf(i)
+        val gap = x - prev
+        prev = x
+        acc |= gap << used
+        used += w
+        if (used >= 64) {
+          out.putLong(java.lang.Long.reverseBytes(acc))
+          used -= 64
+          acc = if (used == 0) 0L else gap >>> (w - used)
+        }
+        i += 1
       }
-      i += 1
+      while (used > 0) { out.put(acc.toByte); acc >>>= 8; used -= 8 }
+      b += 1
     }
-    while (used > 0) { out.put(acc.toByte); acc >>>= 8; used -= 8 }
   }
 
   /** Makes `keys(0 until size)`, ascending in its first `prefix`, the
@@ -356,7 +381,8 @@ object RelativeCompactor {
     * runs: the tail sort's two key arrays and radix histograms, the fold's
     * copy of a short run, and the keys a compaction promotes, which are
     * merged into the level above while the sort and fold arrays are in use.
-    * Each array is as long as the longest use so far.
+    * Each array is as long as the longest use so far. `counts` is all zero
+    * between sorts: each sort clears the slots it used before it returns.
     */
   private final class Scratch {
     var a: Array[Long] = Array.emptyLongArray
@@ -416,7 +442,7 @@ object RelativeCompactor {
     * tail leaves about a quarter of a key per bucket. Returns `s.b`, or
     * null, having sorted nothing, as soon as a bucket holds more than
     * `24 + n/32` keys: a clustered tail is declined after about that many
-    * keys, not a full pass.
+    * keys, not a full pass, and clears only the slots it counted.
     */
   private def bucketSort(s: Scratch, n: Int, diff: Long): Array[Long] = {
     val (src, dst, counts) = (s.a, s.b, s.counts)
@@ -424,12 +450,14 @@ object RelativeCompactor {
     val mask = (1 << bits) - 1
     val shift = math.max(0, 64 - bits - java.lang.Long.numberOfLeadingZeros(diff))
     val limit = 24 + n / 32
-    java.util.Arrays.fill(counts, 0, mask + 1, 0)
     var i = 0
     while (i < n) {
       val slot = ((src(i) ^ Long.MinValue) >>> shift).toInt & mask
       counts(slot) += 1
-      if (counts(slot) > limit) return null
+      if (counts(slot) > limit) {
+        while (i >= 0) { counts(((src(i) ^ Long.MinValue) >>> shift).toInt & mask) = 0; i -= 1 }
+        return null
+      }
       i += 1
     }
     var sum = 0
@@ -448,6 +476,7 @@ object RelativeCompactor {
       counts(slot) += 1
       i += 1
     }
+    java.util.Arrays.fill(counts, 0, mask + 1, 0)
     i = 1
     while (i < n) {
       val k = dst(i)
@@ -462,11 +491,10 @@ object RelativeCompactor {
   /** LSD radix sort of the keys `s.a(0 until n)` on the 8-bit digits of
     * `key ^ Long.MinValue`, between `s.a` and `s.b`: one pass builds all
     * eight histograms, and a digit on which every key agrees is skipped.
-    * Returns the array holding the result.
+    * Returns the array holding the result, with `s.counts` zeroed again.
     */
   private def radixSort(s: Scratch, n: Int): Array[Long] = {
     val counts = s.counts
-    java.util.Arrays.fill(counts, 0)
     var src = s.a
     var dst = s.b
     var i = 0
@@ -504,6 +532,7 @@ object RelativeCompactor {
       }
       d += 1
     }
+    java.util.Arrays.fill(counts, 0)
     src
   }
 
@@ -521,61 +550,75 @@ object RelativeCompactor {
       throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
   }
 
-  /** Bytes of `size − 1` packed gaps of `w` bits. */
-  private def packedBytes(w: Int, size: Int): Long = (w.toLong * (size - 1) + 7) >>> 3
+  /** Gaps per block of a version 3 level record. */
+  private val GapBlock = 64
 
-  /** Reads the keys of a version 2 record of `size` ≥ 1 keys, after its
-    * count and state. When `w` ≤ 56, a gap whose 8 bytes from its first
-    * byte lie in the record costs one little-endian 8-byte load, a shift, a
-    * mask and an add; wider gaps and the last few bytes are read byte by
-    * byte. A sum past `Long.MaxValue` wraps below the key before it, which
-    * one flag collects for a single check at the end.
+  /** Blocks of a record of `size` keys whose gaps come in blocks of `block`:
+    * none when it is empty, and at least one otherwise.
     */
-  private def readKeys(in: ByteBuffer, size: Int): Array[Long] = {
-    need(in, 9)
-    val first = in.getLong()
-    val w = in.get() & 0xff
-    if (w > 64) throw new InvalidObjectException(s"gap width $w above 64")
-    val bytes = packedBytes(w, size)
-    need(in, bytes)
-    val at = in.position()
-    in.position(at + bytes.toInt)
+  private def blocks(size: Int, block: Int): Int = if (size == 0) 0 else 1 + math.max(0, size - 2) / block
+
+  /** Bytes of `gaps` packed gaps of `w` bits. */
+  private def packedBytes(w: Int, gaps: Int): Long = (w.toLong * gaps + 7) >>> 3
+
+  /** Reads the keys of a level record of `size` ≥ 1 keys whose gaps come in
+    * blocks of `block`, after its count and state. When `w` ≤ 56, a gap
+    * whose 8 bytes from its first byte lie in the input costs one
+    * little-endian 8-byte load, a shift, a mask and an add; wider gaps and
+    * the input's last few bytes are read byte by byte. A sum past
+    * `Long.MaxValue` wraps below the key before it, which one flag collects
+    * for a single check at the end.
+    */
+  private def readKeys(in: ByteBuffer, size: Int, block: Int): Array[Long] = {
+    need(in, 8L + blocks(size, block)) // the first key and a width byte per block
     val keys = new Array[Long](size)
-    if (w == 0) { java.util.Arrays.fill(keys, first); return keys }
+    var prev = in.getLong()
+    keys(0) = prev
     val b = in.array()
-    val base = in.arrayOffset() + at
-    val mask = -1L >>> (64 - w)
-    // For gaps 1..fast, the 8 bytes from the gap's first byte lie in the record.
-    val fast = if (w > 56 || bytes < 8) 0 else math.min(size - 1, (8 * bytes - 57) / w + 1).toInt
-    keys(0) = first
-    var prev = first
+    val end = in.arrayOffset() + in.limit()
     var wrapped = false
     var i = 1
-    var bit = 0L // where gap i starts
-    while (i <= fast) {
-      val x = prev + ((getLongLE(b, base + (bit >>> 3).toInt) >>> (bit & 7)) & mask)
-      wrapped |= x < prev
-      keys(i) = x
-      prev = x
-      bit += w
-      i += 1
-    }
-    while (i < size) {
-      var gap = 0L
-      var got = 0 // bits of the gap read
-      while (got < w) {
-        val p = bit + got
-        val off = (p & 7).toInt
-        gap |= ((b(base + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
-        got += 8 - off
+    do {
+      need(in, 1)
+      val w = in.get() & 0xff
+      if (w > 64) throw new InvalidObjectException(s"gap width $w above 64")
+      val stop = i + math.min(block, size - i)
+      val bytes = packedBytes(w, stop - i)
+      need(in, bytes)
+      val base = in.arrayOffset() + in.position()
+      in.position(in.position() + bytes.toInt)
+      if (w == 0) { java.util.Arrays.fill(keys, i, stop, prev); i = stop }
+      val mask = -1L >>> (64 - w)
+      // Before `fast`, the 8 bytes from a gap's first byte lie in the input.
+      val fast =
+        if (w == 0 || w > 56 || end - base < 8) i
+        else math.min(stop, i + (8L * (end - base) - 57) / w + 1).toInt
+      var bit = 0L // where gap i starts, from `base`
+      while (i < fast) {
+        val x = prev + ((getLongLE(b, base + (bit >>> 3).toInt) >>> (bit & 7)) & mask)
+        wrapped |= x < prev
+        keys(i) = x
+        prev = x
+        bit += w
+        i += 1
       }
-      val x = prev + (gap & mask)
-      wrapped |= x < prev
-      keys(i) = x
-      prev = x
-      bit += w
-      i += 1
-    }
+      while (i < stop) {
+        var gap = 0L
+        var got = 0 // bits of the gap read
+        while (got < w) {
+          val p = bit + got
+          val off = (p & 7).toInt
+          gap |= ((b(base + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
+          got += 8 - off
+        }
+        val x = prev + (gap & mask)
+        wrapped |= x < prev
+        keys(i) = x
+        prev = x
+        bit += w
+        i += 1
+      }
+    } while (i < size)
     if (wrapped) throw new InvalidObjectException("level keys overflow Long.MaxValue")
     keys
   }
@@ -586,18 +629,21 @@ object RelativeCompactor {
 
   @inline private def getLongLE(b: Array[Byte], i: Int): Long = LongLE.get(b, i): Long
 
-  /** Reads one version 2 level record (see `writeRecord`) of a sketch whose
-    * levels have section size `k` and `sections` sections. Parameters the
-    * constructor would reject, an item count outside `[0, B]`, a width
-    * above 64 or too few bytes are rejected before the keys are allocated,
-    * and keys past `Long.MaxValue` once all are read. `in` must be backed
-    * by an array, as `ReqSketch.fromBytes`'s is.
+  /** Reads one level record of wire `version` 3 (see `writeRecord`) or 2,
+    * whose gaps are one block, of a sketch whose levels have section size
+    * `k` and `sections` sections. Parameters the constructor would reject,
+    * an item count outside `[0, B]` or fewer bytes than the first key and
+    * the width bytes are rejected before the keys are allocated, a width
+    * above 64 or too few bytes as each block is read, and keys past
+    * `Long.MaxValue` once all are read. `in` must be backed by an array, as
+    * `ReqSketch.fromBytes`'s is.
     */
-  def read(in: ByteBuffer, k: Int, sections: Int): RelativeCompactor = {
+  def read(in: ByteBuffer, k: Int, sections: Int, version: Int = 3): RelativeCompactor = {
     need(in, 12)
     val (size, c) = (in.getInt(), in.getLong())
     checkRecord(k, sections, size)
-    val keys = if (size == 0) Array.emptyLongArray else readKeys(in, size)
+    val block = if (version == 2) math.max(1, size - 1) else GapBlock
+    val keys = if (size == 0) Array.emptyLongArray else readKeys(in, size, block)
     new RelativeCompactor(k, sections).load(keys, size, size, c)
   }
 

@@ -63,7 +63,7 @@ class RelativeCompactorSpec extends AnyFunSuite {
     for (run <- runs) {
       val c = new RelativeCompactor(64, 8)
       c.mergeKeys(run, run.length)
-      val w = c.gapWidth
+      val w = c.gapWidths
       val record = java.nio.ByteBuffer.allocate(c.recordBytes(w))
       c.writeRecord(record, w)
       val back = RelativeCompactor.read(record.flip(), 64, 8)
@@ -299,7 +299,7 @@ class RelativeCompactorSpec extends AnyFunSuite {
   }
 
   private def serialRoundTrip(c: RelativeCompactor): RelativeCompactor = {
-    val w = c.gapWidth
+    val w = c.gapWidths
     val record = java.nio.ByteBuffer.allocate(c.recordBytes(w))
     c.writeRecord(record, w)
     RelativeCompactor.read(record.flip(), c.k, c.numSections)

@@ -149,13 +149,19 @@ class SerializationSpec extends AnyFunSuite {
     (Theory, 0.05, 269695, "e48600865c507cf3ffd660ef1e51ffb10abc88809289b33559dfed346ece7434"),
     (FixedK(12), 0.01, 30991, "7a8379d977d394aa091c96ccd32027873d99ec131512cf405db915f9607dca7b"))
 
-  /** Version 2 `toBytes` of the same sketches as `goldenBytes`. */
+  /** Version 2 bytes of the same sketches as `goldenBytes`. */
   private val goldenBytesV2 = Seq[(ParamProfile, Double, Int, String)](
     (Practical, 0.01, 144267, "830944356388c2f83453b590df9154c559baf50d93b8dc2ec8e1f34294d9b3ef"),
     (Theory, 0.05, 209517, "e3acde360ad5c67b73e81c951b8a9d09b961889b629f86a60cc1e6a86405249a"),
     (FixedK(12), 0.01, 24698, "df90dcf8dfcebb4772b7c23f4a238daef7f5e8c6bc4519bf523ad46fe682c674"))
 
-  for ((profile, eps, length, digest) <- goldenBytesV2) {
+  /** Version 3 `toBytes` of the same sketches as `goldenBytes`. */
+  private val goldenBytesV3 = Seq[(ParamProfile, Double, Int, String)](
+    (Practical, 0.01, 131809, "c235aa37290724344b84995b042d7337fe1a457599ef5f4b969b6b5b51b535b0"),
+    (Theory, 0.05, 178830, "e9802c0a283bc140d9c1287410fed1fc485816e739d477b50b8a2655208c4c5c"),
+    (FixedK(12), 0.01, 22642, "8ba30c4389cffa7d1336ec862990bd788298b8e8e33ed75843f3a483d061ec1c"))
+
+  for ((profile, eps, length, digest) <- goldenBytesV3) {
     test(s"golden bytes: SHA-256 of toBytes for a fixed $profile sketch") {
       val s = ReqSketch(eps, 0.05, profile, seed = 24)
       s.updateAll(Workloads.uniform(100000, 25))
@@ -181,6 +187,20 @@ class SerializationSpec extends AnyFunSuite {
     }
   }
 
+  for ((profile, eps, length, digest) <- goldenBytesV2) {
+    test(s"golden v2 bytes: the test-side v2 writer's $profile sketch decodes to the source state") {
+      val s = ReqSketch(eps, 0.05, profile, seed = 24)
+      s.updateAll(Workloads.uniform(100000, 25))
+      val v2 = WireV2.toBytes(s)
+      assert(v2.length == length && sha256(v2) == digest)
+      val t = ReqSketch.fromBytes(v2)
+      assert(state(t) == state(s))
+      assert(phis.map(t.quantile).map(java.lang.Double.doubleToRawLongBits) ==
+        phis.map(s.quantile).map(java.lang.Double.doubleToRawLongBits))
+      assert(ReqSketch.toBytes(t).sameElements(ReqSketch.toBytes(s)))
+    }
+  }
+
   test("a wrong magic fails with a StreamCorruptedException") {
     intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(patched(0)(_.putInt(0x52455154))))
     val foreign = new java.io.ByteArrayOutputStream()
@@ -189,8 +209,8 @@ class SerializationSpec extends AnyFunSuite {
   }
 
   test("an unknown version, flags or profile tag fails with an InvalidObjectException") {
-    assert(ReqSketch.fromBytes(patched(4)(_.put(2.toByte))).n == 5000)
-    for (bytes <- Seq(patched(4)(_.put(3.toByte)), patched(4)(_.put(0.toByte)),
+    assert(ReqSketch.fromBytes(patched(4)(_.put(3.toByte))).n == 5000)
+    for (bytes <- Seq(patched(4)(_.put(4.toByte)), patched(4)(_.put(0.toByte)),
                       patched(5)(_.put(1.toByte)), patched(5)(_.put(0x80.toByte)),
                       patched(22)(_.put(3.toByte)), patched(22)(_.put(-1.toByte)),
                       patched(23)(_.putInt(12))))
@@ -261,12 +281,17 @@ class SerializationSpec extends AnyFunSuite {
     for (h <- 0 to s.height) {
       val (size, state) = (in.getInt(), in.getLong())
       assert(size == s.levelSizes(h) && state == s.levelState(h))
-      val (first, w) = (in.getLong(), in.get().toInt)
-      val packed = new Array[Byte](((w.toLong * (size - 1) + 7) / 8).toInt)
-      in.get(packed)
-      val bits = java.util.BitSet.valueOf(packed)
-      val gaps = Array.tabulate(size - 1)(j => (0 until w).map(b => if (bits.get(j * w + b)) 1L << b else 0L).sum)
-      assert(w == 64 - java.lang.Long.numberOfLeadingZeros(gaps.foldLeft(0L)(_ | _)), s"level $h")
+      val first = in.getLong()
+      // Blocks of 64 gaps, each a width byte and its gaps packed at that width.
+      val gaps = (0 until size - 1).grouped(64).toSeq.flatMap { block =>
+        val w = in.get().toInt
+        val packed = new Array[Byte](((w.toLong * block.size + 7) / 8).toInt)
+        in.get(packed)
+        val bits = java.util.BitSet.valueOf(packed)
+        val gs = block.indices.map(j => (0 until w).map(b => if (bits.get(j * w + b)) 1L << b else 0L).sum)
+        assert(w == 64 - java.lang.Long.numberOfLeadingZeros(gs.foldLeft(0L)(_ | _)), s"level $h")
+        gs
+      }
       val items = gaps.scanLeft(first)(_ + _).map(RelativeCompactor.item)
       assert(items.sameElements(items.sorted), s"level $h")
       assert(items.sameElements(s.levels(h).sortedKeys.take(size).map(RelativeCompactor.item)), s"level $h")
@@ -284,7 +309,7 @@ class SerializationSpec extends AnyFunSuite {
       bits.set(j * w + b)
     val packed = java.util.Arrays.copyOf(bits.toByteArray, ((w.toLong * gaps.size + 7) / 8).toInt)
     val out = java.nio.ByteBuffer.allocate(63 + 21 + packed.length)
-    out.put(ReqSketch.toBytes(ReqSketch(0.1, 0.1, seed = 40)), 0, 59).putInt(1)
+    out.put(WireV2.toBytes(ReqSketch(0.1, 0.1, seed = 40)), 0, 59).putInt(1)
       .putInt(gaps.size + 1).putLong(0L).putLong(first).put(w.toByte).put(packed)
     out.array()
   }
@@ -307,6 +332,85 @@ class SerializationSpec extends AnyFunSuite {
     }
   }
 
+  /** Version 3 bytes of an empty ε = 0.1 sketch whose one level holds the
+    * keys `first`, then `first` plus each gap in turn, given as blocks of a
+    * width and its gaps, each block packed at its width, low bit first.
+    */
+  private def v3Level(first: Long, blocks: (Int, Seq[Long])*): Array[Byte] = {
+    val packed = for ((w, gaps) <- blocks) yield {
+      val bits = new java.util.BitSet
+      for ((g, j) <- gaps.zipWithIndex; b <- 0 until math.min(w, 64) if ((g >>> b) & 1) == 1)
+        bits.set(j * w + b)
+      w.toByte +: java.util.Arrays.copyOf(bits.toByteArray, ((w.toLong * gaps.size + 7) / 8).toInt)
+    }
+    val out = java.nio.ByteBuffer.allocate(63 + 20 + packed.map(_.length).sum)
+    out.put(ReqSketch.toBytes(ReqSketch(0.1, 0.1, seed = 40)), 0, 59).putInt(1)
+      .putInt(blocks.map(_._2.size).sum + 1).putLong(0L).putLong(first)
+    packed.foreach(out.put)
+    out.array()
+  }
+
+  /** The level-0 keys of `bytes`, which must decode to the same bytes. */
+  private def decodedKeys(bytes: Array[Byte]): Seq[Long] = {
+    val s = ReqSketch.fromBytes(bytes)
+    assert(ReqSketch.toBytes(s).sameElements(bytes))
+    s.levels(0).sortedKeys.take(s.levelSizes(0)).toSeq
+  }
+
+  test("v3: a 63-bit gap widens only its own block") {
+    // The gap across zero from key(−1) to key(1) needs 63 bits.
+    val (neg, pos) = (RelativeCompactor.key(-1.0), RelativeCompactor.key(1.0))
+    val zero = pos - neg - 40
+    assert(64 - java.lang.Long.numberOfLeadingZeros(zero) == 63)
+    val low = Seq.tabulate(64)(j => (j % 8).toLong)                   // width 3, summing to 224
+    val across = Seq.tabulate(64)(j => if (j == 40) zero else 1L)     // width 63
+    val tail = Seq.fill(10)(17L)                                      // width 5
+    val bytes = v3Level(neg - 224, 3 -> low, 63 -> across, 5 -> tail)
+    assert(bytes.length == 63 + 20 + (1 + 8 * 3) + (1 + 8 * 63) + (1 + 7))
+    assert(decodedKeys(bytes) == (low ++ across ++ tail).scanLeft(neg - 224)(_ + _))
+    val s = ReqSketch.fromBytes(bytes)
+    assert(s.itemsStored == 139 && s.rank(-1.0) == 1 + 64 && s.rank(1.0) == 1 + 64 + 41)
+  }
+
+  test("v3: a width-0 block between others, and last blocks of 1 and of 63 gaps") {
+    val k1 = RelativeCompactor.key(1.0)
+    val wide = Seq.tabulate(64)(j => (j * 5 % 16).toLong) // width 4
+    for (blocks <- Seq(Seq(4 -> wide, 0 -> Seq.fill(64)(0L), 2 -> Seq(3L, 1L, 0L, 2L)),
+                       Seq(4 -> wide, 6 -> Seq(33L)),
+                       Seq(4 -> wide, 6 -> Seq.tabulate(63)(j => (j % 2) * 63L)))) {
+      val bytes = v3Level(k1, blocks: _*)
+      assert(bytes.length == 63 + 20 + blocks.map { case (w, g) => 1 + (w * g.size + 7) / 8 }.sum)
+      assert(decodedKeys(bytes) == blocks.flatMap(_._2).scanLeft(k1)(_ + _))
+    }
+    // A one-key record has one empty block.
+    assert(decodedKeys(v3Level(k1, 0 -> Nil)) == Seq(k1))
+  }
+
+  test("v3: a width above 64 or keys past Long.MaxValue in a later block are rejected") {
+    val ones = 1 -> Seq.fill(64)(1L)
+    for (w <- Seq(65, 128, 255))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(v3Level(0L, ones, w -> Seq(1L))))
+    val big = (1L << 56) - 1
+    // Through the one-getLong path (w ≤ 56, 8 bytes left after the gap), the
+    // input's last bytes and a 64-bit width.
+    for (bytes <- Seq(v3Level(Long.MaxValue - 64 - 3 * big, ones, 56 -> Seq.fill(12)(big)),
+                      v3Level(Long.MaxValue - 70, ones, 3 -> Seq(4L, 4L)),
+                      v3Level(0L, ones, 64 -> Seq(Long.MaxValue, 1L)))) {
+      val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
+      assert(e.getMessage.contains("overflow"), e.getMessage)
+    }
+  }
+
+  test("v3: truncation at every cut fails with an IOException, and a trailing byte is rejected") {
+    val s = ReqSketch(0.1, 0.1, seed = 41)
+    s.updateAll(Workloads.uniform(20000, 42))
+    val bytes = ReqSketch.toBytes(s)
+    assert(s.height >= 3 && s.levelSizes.exists(_ > 65)) // some level has several blocks
+    for (cut <- 0 until bytes.length)
+      intercept[java.io.IOException](ReqSketch.fromBytes(bytes.take(cut)))
+    intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(bytes :+ 0.toByte))
+  }
+
   test("v2: a last key that is a NaN fails with an InvalidObjectException") {
     val (one, inf) = (RelativeCompactor.key(1.0), RelativeCompactor.key(Double.PositiveInfinity))
     assert(ReqSketch.fromBytes(v2Level(one, 63, inf - one)).rank(Double.PositiveInfinity) == 2)
@@ -319,7 +423,7 @@ class SerializationSpec extends AnyFunSuite {
   test("v2: truncation at every cut fails with an IOException, and a trailing byte is rejected") {
     val s = ReqSketch(0.1, 0.1, seed = 41)
     s.updateAll(Workloads.uniform(20000, 42))
-    val bytes = ReqSketch.toBytes(s)
+    val bytes = WireV2.toBytes(s)
     assert(s.height >= 3)
     for (cut <- 0 until bytes.length)
       intercept[java.io.IOException](ReqSketch.fromBytes(bytes.take(cut)))
@@ -331,7 +435,8 @@ class SerializationSpec extends AnyFunSuite {
     s.updateAll(Array.fill(20000)(2.5))
     assert(s.height >= 2)
     val bytes = ReqSketch.toBytes(s)
-    assert(bytes.length == 63 + s.levelSizes.map(size => if (size == 0) 12 else 21).sum)
+    // One width byte per block of 64 gaps, at least one when size > 0.
+    assert(bytes.length == 63 + s.levelSizes.map(size => if (size == 0) 12 else 20 + math.max(1, (size + 62) / 64)).sum)
     val t = ReqSketch.fromBytes(bytes)
     assert(state(t) == state(s) && ReqSketch.toBytes(t).sameElements(bytes))
   }
@@ -355,7 +460,10 @@ class SerializationSpec extends AnyFunSuite {
     val s = ReqSketch(0.1, 0.1, seed = 45)
     s.updateAll(infs)
     assert(s.height > 0 && s.levelSizes(0) > 1)
-    assert(ReqSketch.toBytes(s)(63 + 12 + 8) == 64) // level 0's width byte, after size, C and the first key
+    // Level 0's width byte of the block holding the gap from the last −∞, after
+    // size, C, the first key and one width byte per block of zero gaps before it.
+    val negInfs = s.levels(0).countAtMost(Long.MinValue)
+    assert(ReqSketch.toBytes(s)(63 + 12 + 8 + (negInfs - 1) / 64) == 64)
   }
 
   test("v2: an item count outside [0, B] or sketch parameters a level rejects are refused") {
