@@ -564,8 +564,10 @@ object RelativeCompactor {
   /** Reads the keys of a level record of `size` ≥ 1 keys whose gaps come in
     * blocks of `block`, after its count and state. When `w` ≤ 56, a gap
     * whose 8 bytes from its first byte lie in the input costs one
-    * little-endian 8-byte load, a shift, a mask and an add; wider gaps and
-    * the input's last few bytes are read byte by byte. A sum past
+    * little-endian 8-byte load, a shift, a mask and an add, in an inner loop
+    * over at most 64 gaps with `Int` offsets (a version 2 block is read 64
+    * gaps at a time, which take exactly `w` words); wider gaps and the
+    * input's last few bytes are read byte by byte. A sum past
     * `Long.MaxValue` wraps below the key before it, which one flag collects
     * for a single check at the end.
     */
@@ -576,32 +578,40 @@ object RelativeCompactor {
     keys(0) = prev
     val b = in.array()
     val end = in.arrayOffset() + in.limit()
+    var base = in.arrayOffset() + in.position() // the next block's width byte
     var wrapped = false
     var i = 1
     do {
-      need(in, 1)
-      val w = in.get() & 0xff
+      need(1, end - base)
+      val w = b(base) & 0xff
       if (w > 64) throw new InvalidObjectException(s"gap width $w above 64")
       val stop = i + math.min(block, size - i)
       val bytes = packedBytes(w, stop - i)
-      need(in, bytes)
-      val base = in.arrayOffset() + in.position()
-      in.position(in.position() + bytes.toInt)
+      base += 1
+      need(bytes, end - base)
       if (w == 0) { java.util.Arrays.fill(keys, i, stop, prev); i = stop }
       val mask = -1L >>> (64 - w)
       // Before `fast`, the 8 bytes from a gap's first byte lie in the input.
       val fast =
         if (w == 0 || w > 56 || end - base < 8) i
+        else if (end - base >= bytes + 7) stop
         else math.min(stop, i + (8L * (end - base) - 57) / w + 1).toInt
-      var bit = 0L // where gap i starts, from `base`
-      while (i < fast) {
-        val x = prev + ((getLongLE(b, base + (bit >>> 3).toInt) >>> (bit & 7)) & mask)
-        wrapped |= x < prev
-        keys(i) = x
-        prev = x
-        bit += w
-        i += 1
+      val first = i
+      while (i < fast) { // 64 gaps at a time, which start on a byte
+        val at = base + ((i - first) >>> 3) * w
+        val n = math.min(64, fast - i)
+        var j = 0
+        while (j < n) {
+          val bit = j * w
+          val x = prev + ((getLongLE(b, at + (bit >>> 3)) >>> (bit & 7)) & mask)
+          wrapped |= x < prev
+          keys(i + j) = x
+          prev = x
+          j += 1
+        }
+        i += n
       }
+      var bit = (i - first).toLong * w // where gap i starts, from `base`
       while (i < stop) {
         var gap = 0L
         var got = 0 // bits of the gap read
@@ -618,7 +628,9 @@ object RelativeCompactor {
         bit += w
         i += 1
       }
+      base += bytes.toInt
     } while (i < size)
+    in.position(base - in.arrayOffset())
     if (wrapped) throw new InvalidObjectException("level keys overflow Long.MaxValue")
     keys
   }
@@ -674,7 +686,8 @@ object RelativeCompactor {
   }
 
   /** Fails with an `EOFException` unless `in` holds `bytes` more bytes. */
-  private[core] def need(in: ByteBuffer, bytes: Long): Unit =
-    if (in.remaining < bytes)
-      throw new EOFException(s"need $bytes more bytes, ${in.remaining} left")
+  private[core] def need(in: ByteBuffer, bytes: Long): Unit = need(bytes, in.remaining)
+
+  private def need(bytes: Long, left: Long): Unit =
+    if (left < bytes) throw new EOFException(s"need $bytes more bytes, $left left")
 }
