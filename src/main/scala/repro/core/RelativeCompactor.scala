@@ -381,8 +381,7 @@ object RelativeCompactor {
     * runs: the tail sort's two key arrays and radix histograms, the fold's
     * copy of a short run, and the keys a compaction promotes, which are
     * merged into the level above while the sort and fold arrays are in use.
-    * Each array is as long as the longest use so far. `counts` is all zero
-    * between sorts: each sort clears the slots it used before it returns.
+    * Each array is as long as the longest use so far.
     */
   private final class Scratch {
     var a: Array[Long] = Array.emptyLongArray
@@ -442,7 +441,7 @@ object RelativeCompactor {
     * tail leaves about a quarter of a key per bucket. Returns `s.b`, or
     * null, having sorted nothing, as soon as a bucket holds more than
     * `24 + n/32` keys: a clustered tail is declined after about that many
-    * keys, not a full pass, and clears only the slots it counted.
+    * keys, not a full pass.
     */
   private def bucketSort(s: Scratch, n: Int, diff: Long): Array[Long] = {
     val (src, dst, counts) = (s.a, s.b, s.counts)
@@ -450,14 +449,12 @@ object RelativeCompactor {
     val mask = (1 << bits) - 1
     val shift = math.max(0, 64 - bits - java.lang.Long.numberOfLeadingZeros(diff))
     val limit = 24 + n / 32
+    java.util.Arrays.fill(counts, 0, mask + 1, 0)
     var i = 0
     while (i < n) {
       val slot = ((src(i) ^ Long.MinValue) >>> shift).toInt & mask
       counts(slot) += 1
-      if (counts(slot) > limit) {
-        while (i >= 0) { counts(((src(i) ^ Long.MinValue) >>> shift).toInt & mask) = 0; i -= 1 }
-        return null
-      }
+      if (counts(slot) > limit) return null
       i += 1
     }
     var sum = 0
@@ -476,7 +473,6 @@ object RelativeCompactor {
       counts(slot) += 1
       i += 1
     }
-    java.util.Arrays.fill(counts, 0, mask + 1, 0)
     i = 1
     while (i < n) {
       val k = dst(i)
@@ -491,10 +487,11 @@ object RelativeCompactor {
   /** LSD radix sort of the keys `s.a(0 until n)` on the 8-bit digits of
     * `key ^ Long.MinValue`, between `s.a` and `s.b`: one pass builds all
     * eight histograms, and a digit on which every key agrees is skipped.
-    * Returns the array holding the result, with `s.counts` zeroed again.
+    * Returns the array holding the result.
     */
   private def radixSort(s: Scratch, n: Int): Array[Long] = {
     val counts = s.counts
+    java.util.Arrays.fill(counts, 0)
     var src = s.a
     var dst = s.b
     var i = 0
@@ -532,7 +529,6 @@ object RelativeCompactor {
       }
       d += 1
     }
-    java.util.Arrays.fill(counts, 0)
     src
   }
 
