@@ -63,7 +63,7 @@ case object Theory extends ParamProfile {
 }
 
 /** Constants of the streaming analysis, eq. (6): k is
-  * ⌈(4/ε)·√(ln(1/δ)/log₂(εN))⌉ rounded up to even (at least 2), which is
+  * ⌈(4/ε)·√(ln(1/δ)/log₂(εN))⌉ rounded up to even (at least 2), about
   * half of 2·⌈·⌉ (DESIGN.md, Parameter profiles), with the Appendix-C
   * N-squaring machinery layered on top (footnote 7's "recompute parameters
   * in place").

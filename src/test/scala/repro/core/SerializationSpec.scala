@@ -299,20 +299,31 @@ class SerializationSpec extends AnyFunSuite {
     assert(!in.hasRemaining)
   }
 
-  /** Version 2 bytes of an empty ε = 0.1 sketch whose one level holds the
-    * keys `first`, then `first` plus each of `gaps` in turn, with the gaps
-    * packed `w` bits each, low bit first.
+  /** Bytes of an empty ε = 0.1 sketch whose one level holds the keys
+    * `first`, then `first` plus each gap in turn, given as blocks of a width
+    * and its gaps, each block a width byte and its gaps packed at that
+    * width, low bit first; the header, and so the version, is `header`'s.
     */
-  private def v2Level(first: Long, w: Int, gaps: Long*): Array[Byte] = {
-    val bits = new java.util.BitSet
-    for ((g, j) <- gaps.zipWithIndex; b <- 0 until math.min(w, 64) if ((g >>> b) & 1) == 1)
-      bits.set(j * w + b)
-    val packed = java.util.Arrays.copyOf(bits.toByteArray, ((w.toLong * gaps.size + 7) / 8).toInt)
-    val out = java.nio.ByteBuffer.allocate(63 + 21 + packed.length)
-    out.put(WireV2.toBytes(ReqSketch(0.1, 0.1, seed = 40)), 0, 59).putInt(1)
-      .putInt(gaps.size + 1).putLong(0L).putLong(first).put(w.toByte).put(packed)
+  private def levelBytes(header: Array[Byte], first: Long, blocks: (Int, Seq[Long])*): Array[Byte] = {
+    val packed = for ((w, gaps) <- blocks) yield {
+      val bits = new java.util.BitSet
+      for ((g, j) <- gaps.zipWithIndex; b <- 0 until math.min(w, 64) if ((g >>> b) & 1) == 1)
+        bits.set(j * w + b)
+      w.toByte +: java.util.Arrays.copyOf(bits.toByteArray, ((w.toLong * gaps.size + 7) / 8).toInt)
+    }
+    val out = java.nio.ByteBuffer.allocate(63 + 20 + packed.map(_.length).sum)
+    out.put(header, 0, 59).putInt(1).putInt(blocks.map(_._2.size).sum + 1).putLong(0L).putLong(first)
+    packed.foreach(out.put)
     out.array()
   }
+
+  /** Version 2 bytes of one level: `gaps` packed `w` bits each. */
+  private def v2Level(first: Long, w: Int, gaps: Long*): Array[Byte] =
+    levelBytes(WireV2.toBytes(ReqSketch(0.1, 0.1, seed = 40)), first, w -> gaps)
+
+  /** Version 3 bytes of one level: each block at its own width. */
+  private def v3Level(first: Long, blocks: (Int, Seq[Long])*): Array[Byte] =
+    levelBytes(ReqSketch.toBytes(ReqSketch(0.1, 0.1, seed = 40)), first, blocks: _*)
 
   test("v2: hand-packed gaps decode; a width above 64 or keys past Long.MaxValue are rejected") {
     val k1 = RelativeCompactor.key(1.0)
@@ -330,24 +341,6 @@ class SerializationSpec extends AnyFunSuite {
       val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
       assert(e.getMessage.contains("overflow"), e.getMessage)
     }
-  }
-
-  /** Version 3 bytes of an empty ε = 0.1 sketch whose one level holds the
-    * keys `first`, then `first` plus each gap in turn, given as blocks of a
-    * width and its gaps, each block packed at its width, low bit first.
-    */
-  private def v3Level(first: Long, blocks: (Int, Seq[Long])*): Array[Byte] = {
-    val packed = for ((w, gaps) <- blocks) yield {
-      val bits = new java.util.BitSet
-      for ((g, j) <- gaps.zipWithIndex; b <- 0 until math.min(w, 64) if ((g >>> b) & 1) == 1)
-        bits.set(j * w + b)
-      w.toByte +: java.util.Arrays.copyOf(bits.toByteArray, ((w.toLong * gaps.size + 7) / 8).toInt)
-    }
-    val out = java.nio.ByteBuffer.allocate(63 + 20 + packed.map(_.length).sum)
-    out.put(ReqSketch.toBytes(ReqSketch(0.1, 0.1, seed = 40)), 0, 59).putInt(1)
-      .putInt(blocks.map(_._2.size).sum + 1).putLong(0L).putLong(first)
-    packed.foreach(out.put)
-    out.array()
   }
 
   /** The level-0 keys of `bytes`, which must decode to the same bytes. */
