@@ -36,7 +36,9 @@ class ParamsSpec extends AnyFunSuite {
     assert(Theory.sectionSize(n, eps, delta) == expected)
   }
 
-  test("Practical k is eq. (6)'s ceil((4/eps) sqrt(ln(1/delta)/log2(eps N))) rounded up to even") {
+  // The code computes eq. (6)'s ceil((4/eps) sqrt(ln(1/delta)/log2(eps N))) rounded up to
+  // even, about half of the leading 2 * ceil(...) read literally; the body pins that value.
+  test("Practical k matches eq. (6): 2 * ceil((4/eps) sqrt(ln(1/delta)/log2(eps N)))") {
     val (eps, delta) = (0.05, 0.1)
     val n = 1000000L
     val raw = (4 / eps) * math.sqrt(math.log(1 / delta) / (math.log(eps * n) / math.log(2)))
