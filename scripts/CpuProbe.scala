@@ -20,9 +20,12 @@ package repro.core
   *  - `dups`: the integers 0 to 7;
   *  - `signed`: uniform in [−1, 1);
   *  - `normal`: normal(0, 1);
-  *  - `rounded`: uniform in [0, 1) rounded to a multiple of 0.001.
-  * The last three give the wire format levels of other shapes: keys of both
-  * signs, and many equal keys.
+  *  - `rounded`: uniform in [0, 1) rounded to a multiple of 0.001;
+  *  - `bits`: uniform raw 64-bit patterns, NaNs among them (which `update`
+  *    skips and `level0` stores).
+  * The last four give the wire format levels of other shapes: keys of both
+  * signs, many equal keys, and (only `bits`) blocks of gaps wider than 56
+  * bits.
   * Prints the median over `rounds` rounds, the first two dropped as warm-up;
   * for the last round's `fold` result and `ingest` sketch, `toBytes` bytes
   * per stored item and a SHA-256 of the sketch state (parameters, level
@@ -54,6 +57,7 @@ object CpuProbe {
       case "signed" => () => 2 * rng.nextDouble() - 1
       case "normal" => () => rng.nextGaussian()
       case "rounded" => () => math.rint(rng.nextDouble() * 1000) / 1000
+      case "bits" => () => java.lang.Double.longBitsToDouble(rng.nextLong())
     }
     val data = Array.fill(chunks * c)(next())
     val mx = java.lang.management.ManagementFactory.getThreadMXBean

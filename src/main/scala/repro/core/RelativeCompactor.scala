@@ -257,59 +257,36 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   // block of all `size − 1` gaps. Version 1 (`readV1`) wrote `k, size,
   // numSections: int32, C: int64`, then `size` big-endian float64 items.
 
-  /** Bit length of the widest gap of each block, the level read as one
-    * run: the block's gaps ORed together. The tail sort is the one the next
-    * compaction would do, so the level's future is unchanged.
+  /** Bytes `writeRecord` writes at most: 12 for the count and state, then 8
+    * for the first key and at most 8 per gap and 1 per block.
     */
-  private[core] def gapWidths: Array[Byte] = {
+  private[core] def maxRecordBytes: Long = 12L + 9L * len
+
+  /** Writes the level record to `out`, which must be big-endian (a
+    * `ByteBuffer`'s default order), in one pass over the level read as one
+    * run: the tail sort is the one the next compaction would do, so the
+    * level's future is unchanged. Each block's width is the OR of its gaps,
+    * taken just before they are packed through a 64-bit accumulator that is
+    * put byte-reversed, so little-endian, whenever it is full, which a full
+    * block leaves empty.
+    */
+  private[core] def writeRecord(out: ByteBuffer): Unit = {
     oneRun()
-    val widths = new Array[Byte](blocks(len, GapBlock))
-    var i = 1
-    var b = 0
-    while (b < widths.length) {
-      val end = math.min(len, i + GapBlock)
-      var gaps = 0L
-      while (i < end) { gaps |= buf(i) - buf(i - 1); i += 1 }
-      widths(b) = (64 - java.lang.Long.numberOfLeadingZeros(gaps)).toByte
-      b += 1
-    }
-    widths
-  }
-
-  /** Bytes `writeRecord` writes with block widths `widths` (`gapWidths`). */
-  private[core] def recordBytes(widths: Array[Byte]): Int = {
-    var bytes = if (len == 0) 12L else 20L
-    var b = 0
-    while (b < widths.length) {
-      bytes += 1 + packedBytes(widths(b), math.min(GapBlock, len - 1 - b * GapBlock))
-      b += 1
-    }
-    bytes.toInt
-  }
-
-  /** Writes the level record, with block widths `widths` = `gapWidths`, to
-    * `out`, which must be big-endian (a `ByteBuffer`'s default order): the
-    * keys as they are stored, each block's gaps packed through a 64-bit
-    * accumulator that is put byte-reversed, so little-endian, whenever it
-    * is full, which a full block leaves empty.
-    */
-  private[core] def writeRecord(out: ByteBuffer, widths: Array[Byte]): Unit = {
     out.putInt(len).putLong(state)
     if (len == 0) return
-    var prev = buf(0)
-    out.putLong(prev)
+    out.putLong(buf(0))
     var i = 1
-    var b = 0
-    while (b < widths.length) {
-      val w = widths(b)
-      out.put(w)
+    do {
       val end = math.min(len, i + GapBlock)
+      var gaps = 0L
+      var j = i
+      while (j < end) { gaps |= buf(j) - buf(j - 1); j += 1 }
+      val w = 64 - java.lang.Long.numberOfLeadingZeros(gaps)
+      out.put(w.toByte)
       var acc = 0L // the packed bits not yet written, `used` of them
       var used = 0
       while (i < end) {
-        val x = buf(i)
-        val gap = x - prev
-        prev = x
+        val gap = buf(i) - buf(i - 1)
         acc |= gap << used
         used += w
         if (used >= 64) {
@@ -320,8 +297,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
         i += 1
       }
       while (used > 0) { out.put(acc.toByte); acc >>>= 8; used -= 8 }
-      b += 1
-    }
+    } while (i < len)
   }
 
   /** Makes `keys(0 until size)`, ascending in its first `prefix`, the
@@ -558,14 +534,14 @@ object RelativeCompactor {
   private def packedBytes(w: Int, gaps: Int): Long = (w.toLong * gaps + 7) >>> 3
 
   /** Reads the keys of a level record of `size` ≥ 1 keys whose gaps come in
-    * blocks of `block`, after its count and state. When `w` ≤ 56, a gap
-    * whose 8 bytes from its first byte lie in the input costs one
-    * little-endian 8-byte load, a shift, a mask and an add, in an inner loop
-    * over at most 64 gaps with `Int` offsets (a version 2 block is read 64
-    * gaps at a time, which take exactly `w` words); wider gaps and the
-    * input's last few bytes are read byte by byte. A sum past
-    * `Long.MaxValue` wraps below the key before it, which one flag collects
-    * for a single check at the end.
+    * blocks of `block`, after its count and state. Every block is read 64
+    * gaps at a time (which take exactly `w` words) in an inner loop with
+    * `Int` offsets: when `w` ≤ 56 a gap is one little-endian 8-byte load
+    * from its first byte, a shift, a mask and an add; a wider gap also takes
+    * the ninth byte. A block whose loads would pass the input's limit is read
+    * from a zero-padded copy of its bytes. A sum past `Long.MaxValue` wraps
+    * below the key before it, which one flag collects for a single check at
+    * the end.
     */
   private def readKeys(in: ByteBuffer, size: Int, block: Int): Array[Long] = {
     need(in, 8L + blocks(size, block)) // the first key and a width byte per block
@@ -587,42 +563,36 @@ object RelativeCompactor {
       need(bytes, end - base)
       if (w == 0) { java.util.Arrays.fill(keys, i, stop, prev); i = stop }
       val mask = -1L >>> (64 - w)
-      // Before `fast`, the 8 bytes from a gap's first byte lie in the input.
-      val fast =
-        if (w == 0 || w > 56 || end - base < 8) i
-        else if (end - base >= bytes + 7) stop
-        else math.min(stop, i + (8L * (end - base) - 57) / w + 1).toInt
-      val first = i
-      while (i < fast) { // 64 gaps at a time, which start on a byte
-        val at = base + ((i - first) >>> 3) * w
-        val n = math.min(64, fast - i)
+      var src = b // holds the next 64 gaps from index `at`
+      var at = base
+      if (i < stop && end - base < bytes + 8) {
+        src = new Array[Byte](bytes.toInt + 8)
+        System.arraycopy(b, base, src, 0, bytes.toInt)
+        at = 0
+      }
+      while (i < stop) {
+        val n = math.min(64, stop - i)
         var j = 0
-        while (j < n) {
+        if (w <= 56) while (j < n) {
           val bit = j * w
-          val x = prev + ((getLongLE(b, at + (bit >>> 3)) >>> (bit & 7)) & mask)
+          val x = prev + ((getLongLE(src, at + (bit >>> 3)) >>> (bit & 7)) & mask)
+          wrapped |= x < prev
+          keys(i + j) = x
+          prev = x
+          j += 1
+        } else while (j < n) {
+          val bit = j * w
+          val p = at + (bit >>> 3)
+          val off = bit & 7
+          val gap = (getLongLE(src, p) >>> off) | (src(p + 8) & 0xffL) << 1 << (63 - off)
+          val x = prev + (gap & mask)
           wrapped |= x < prev
           keys(i + j) = x
           prev = x
           j += 1
         }
         i += n
-      }
-      var bit = (i - first).toLong * w // where gap i starts, from `base`
-      while (i < stop) {
-        var gap = 0L
-        var got = 0 // bits of the gap read
-        while (got < w) {
-          val p = bit + got
-          val off = (p & 7).toInt
-          gap |= ((b(base + (p >>> 3).toInt) & 0xff) >>> off).toLong << got
-          got += 8 - off
-        }
-        val x = prev + (gap & mask)
-        wrapped |= x < prev
-        keys(i) = x
-        prev = x
-        bit += w
-        i += 1
+        at += 8 * w
       }
       base += bytes.toInt
     } while (i < size)

@@ -186,11 +186,12 @@ object ReqSketch {
 
   /** Encodes the sketch in the versioned wire format. Sorts each level's
     * pending tail first, which leaves every later answer and compaction as
-    * it would have been.
+    * it would have been. Writes each level once, into a buffer sized by
+    * `RelativeCompactor.maxRecordBytes`, and returns a copy of what it
+    * wrote.
     */
   def toBytes(s: ReqSketch): Array[Byte] = {
-    val widths = s.levels.map(_.gapWidths)
-    val out = ByteBuffer.allocate(HeaderBytes + s.levels.indices.iterator.map(h => s.levels(h).recordBytes(widths(h))).sum)
+    val out = ByteBuffer.allocate(Math.toIntExact(HeaderBytes + s.levels.iterator.map(_.maxRecordBytes).sum))
     val (tag, fixedK) = s.profile match {
       case Practical => (0, 0)
       case Theory    => (1, 0)
@@ -199,8 +200,8 @@ object ReqSketch {
     out.putInt(Magic).put(Version).put(0.toByte).putDouble(s.eps).putDouble(s.delta)
       .put(tag.toByte).putInt(fixedK).putLong(s.seed).putLong(s.count).putLong(s.bound)
       .putInt(s.k).putInt(s.sections).putInt(s.levels.size)
-    for (h <- s.levels.indices) s.levels(h).writeRecord(out, widths(h))
-    out.array()
+    s.levels.foreach(_.writeRecord(out))
+    java.util.Arrays.copyOf(out.array(), out.position())
   }
 
   /** Decodes `toBytes` output. Foreign bytes fail with an `IOException`:

@@ -63,14 +63,48 @@ class RelativeCompactorSpec extends AnyFunSuite {
     for (run <- runs) {
       val c = new RelativeCompactor(64, 8)
       c.mergeKeys(run, run.length)
-      val w = c.gapWidths
-      val record = java.nio.ByteBuffer.allocate(c.recordBytes(w))
-      c.writeRecord(record, w)
+      val record = java.nio.ByteBuffer.allocate(c.maxRecordBytes.toInt)
+      c.writeRecord(record)
       val back = RelativeCompactor.read(record.flip(), 64, 8)
       assert(!record.hasRemaining && back.size == run.length)
       assert(back.sortedKeys.take(back.size).sameElements(run))
     }
   }
+
+  // A gap's loads reach up to 9 bytes past its first byte, so the block that
+  // ends at the input's limit is read from a padded copy; a slice of a larger
+  // array has bytes past its limit that must change nothing.
+  for (w <- Seq(1, 8, 55, 56, 57, 63, 64))
+    test(s"a record whose last block, of width $w, ends at the input's limit decodes, " +
+        "also from a slice, and fails at every cut") {
+      for (g <- Seq(1, 7, 8, 63, 64)) {
+        // A full block of narrow gaps, then a last block of g gaps whose last
+        // sets bit w − 1: they sum to less than 2^64, so keys from
+        // Long.MinValue ascend.
+        val r = rng(100L * w + g)
+        val top = 1L << (w - 1)
+        val gaps = Array.fill(63 + g)(r.nextLong() & (top - 1) >>> 7) :+
+          (top | (r.nextLong() & (top - 1) & ~(top >>> 1)))
+        val run = gaps.scanLeft(Long.MinValue)(_ + _)
+        val c = new RelativeCompactor(64, 8)
+        c.mergeKeys(run, run.length)
+        val out = java.nio.ByteBuffer.allocate(c.maxRecordBytes.toInt)
+        c.writeRecord(out)
+        val record = java.util.Arrays.copyOf(out.array(), out.position())
+        assert(record(record.length - 1 - (w * g + 7) / 8) == w, s"g = $g")
+        val wider = Array.fill[Byte](7 + record.length + 16)(-1)
+        System.arraycopy(record, 0, wider, 7, record.length)
+        def slice(bytes: Int) = java.nio.ByteBuffer.wrap(wider, 7, bytes).slice()
+        for (in <- Seq(java.nio.ByteBuffer.wrap(record), slice(record.length))) {
+          val back = RelativeCompactor.read(in, 64, 8)
+          assert(!in.hasRemaining && back.sortedKeys.take(back.size).sameElements(run), s"g = $g")
+        }
+        for (cut <- 0 until record.length) {
+          intercept[java.io.IOException](RelativeCompactor.read(java.nio.ByteBuffer.wrap(record.take(cut)), 64, 8))
+          intercept[java.io.IOException](RelativeCompactor.read(slice(cut), 64, 8))
+        }
+      }
+    }
 
   test("insert grows size; isAtCapacity flips at B") {
     val c = new RelativeCompactor(2, 2)
@@ -299,9 +333,8 @@ class RelativeCompactorSpec extends AnyFunSuite {
   }
 
   private def serialRoundTrip(c: RelativeCompactor): RelativeCompactor = {
-    val w = c.gapWidths
-    val record = java.nio.ByteBuffer.allocate(c.recordBytes(w))
-    c.writeRecord(record, w)
+    val record = java.nio.ByteBuffer.allocate(c.maxRecordBytes.toInt)
+    c.writeRecord(record)
     RelativeCompactor.read(record.flip(), c.k, c.numSections)
   }
 
