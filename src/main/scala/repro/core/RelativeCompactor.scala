@@ -253,9 +253,11 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   // gap, and its gaps, `w` bits each, packed low bit first into ⌈w·gaps/8⌉
   // little-endian bytes, so a full block is exactly `w` 64-bit words. The
   // level is written as one sorted run, so every gap is non-negative; `k`
-  // and `numSections` come from the sketch header. A version 2 record is one
-  // block of all `size − 1` gaps. Version 1 (`readV1`) wrote `k, size,
-  // numSections: int32, C: int64`, then `size` big-endian float64 items.
+  // and `numSections` come from the sketch header. `writeRecord` writes a
+  // record in one pass, never knowing its exact size beforehand, into room
+  // for `maxRecordBytes`. A version 2 record is one block of all `size − 1`
+  // gaps. Version 1 (`readV1`) wrote `k, size, numSections: int32, C:
+  // int64`, then `size` big-endian float64 items.
 
   /** Bytes `writeRecord` writes at most: 12 for the count and state, then 8
     * for the first key and at most 8 per gap and 1 per block.

@@ -332,8 +332,8 @@ class SerializationSpec extends AnyFunSuite {
       Seq(k1, k1, k1 + 5, k1 + 12).map(RelativeCompactor.item))
     for (bytes <- Seq(v2Level(k1, 65, 1L), v2Level(k1, 255, 1L)))
       intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
-    // A sum past Long.MaxValue wraps: through the one-getLong path (w ≤ 56,
-    // enough bytes after the gap) and through the byte-by-byte path.
+    // A sum past Long.MaxValue wraps: through the 8-byte loop (w ≤ 56) and
+    // through the one that also reads a ninth byte (w of 57–64).
     val wide = (1L << 56) - 1
     for (bytes <- Seq(v2Level(Long.MaxValue - 3 * wide, 56, Seq.fill(12)(wide): _*),
                       v2Level(0L, 63, 1L << 62, 1L << 62),
