@@ -54,7 +54,7 @@ object Harness {
   /** The data values at the `rankGrid` positions of the sorted data, and
     * their exact ranks.
     */
-  private def gridTruth(data: Array[Double]): (Array[Double], Array[Long]) = {
+  def gridTruth(data: Array[Double]): (Array[Double], Array[Long]) = {
     val sorted = data.clone()
     java.util.Arrays.sort(sorted)
     val queries = Workloads.rankGrid(sorted.length.toLong).map(r => sorted((r - 1).toInt))
