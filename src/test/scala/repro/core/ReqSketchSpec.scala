@@ -304,140 +304,140 @@ class ReqSketchSpec extends AnyFunSuite {
 
   private val golden: Map[String, String] = Map(
     "stream/Practical/seed=1" ->
-      ("sizes=6153,5822,6068,6211,6129,6068,5735,2323" +
+      ("sizes=6153,5822,6068,6211,6129,6068,5735,2322" +
         " states=3175,1260,531,246,108,41,8,0" +
         " n=1048576 bound=30680521" +
-        " sha256=99cf61d7289a00211fe4dc893e980fa15e18102b6614466b77c8acb9177b730c"),
+        " sha256=29871df4f8f694784ca8b85b9e294d04771f468a329ea38d4d80b82cc4f52e34"),
     "merge64/Practical/seed=1" ->
-      ("sizes=6068,6068,5904,6068,5740,5740,6200,2235" +
+      ("sizes=6068,6068,5904,6068,5740,5740,6200,2236" +
         " states=511,63,62,59,52,36,8,0" +
         " n=1048576 bound=30680521" +
-        " sha256=1adbe9cfa045c299336dfa5520c9eecd2982d767c841b1712cbc079854139a9d"),
+        " sha256=1ca5c874770ce762786e3c25fa6134c44404e222d9afc23832773a3d7ff0cd76"),
     "tree64/Practical/seed=1" ->
-      ("sizes=5248,5904,6068,5740,6068,5904,6068,2242" +
+      ("sizes=5248,5904,6068,5740,6068,5904,6068,2241" +
         " states=32,6,5,4,3,2,1,0" +
         " n=1048576 bound=30680521" +
-        " sha256=4ede0c95fd54a26a5e424e969185dd8f26cb8d67362d05653ead447995846dcc"),
+        " sha256=b7158f555a1f4f2bf17445bedfdcc4ca9975c36e3444a02fb237ed2a0da05d16"),
     "stream/Practical/seed=2" ->
       ("sizes=6153,5822,6068,6212,6130,6068,5735,2325" +
         " states=3175,1260,531,246,108,41,8,0" +
         " n=1048576 bound=30680521" +
-        " sha256=1f1218e91909bc5d7edcc0852e130f8a656dd928ca3af92bb96c1fd488ab5d1a"),
+        " sha256=9199e903b77c8e7cda02b6b5721ce3e9c718ccd120a5ff9bef5a8f7e16e13d8f"),
     "merge64/Practical/seed=2" ->
-      ("sizes=6068,6068,5904,6068,5740,5740,6202,2231" +
+      ("sizes=6068,6068,5904,6068,5740,5740,6202,2233" +
         " states=511,63,62,59,52,36,8,0" +
         " n=1048576 bound=30680521" +
-        " sha256=4c328899e8873728215465f56142a2c26f5174c6c2d8aa4a7972a5bc4ed320c5"),
+        " sha256=3c85f2c218b46f83333b7f4beefe3c4bbc1b7c5037f47f0f78901a754179df20"),
     "tree64/Practical/seed=2" ->
       ("sizes=5248,5904,6068,5740,6068,5904,6068,2242" +
         " states=32,6,5,4,3,2,1,0" +
         " n=1048576 bound=30680521" +
-        " sha256=563b722b2052d978bdc33e99fdce759630d879703b20a4bef764de23bb1c495a"),
+        " sha256=711d6fb8880b752ce450c9d29024360efe87296fbdc303a5e3c6a95afe302dde"),
     "stream/Practical/seed=3" ->
-      ("sizes=6153,5822,6068,6211,6130,6068,5735,2327" +
+      ("sizes=6153,5822,6068,6211,6130,6068,5735,2321" +
         " states=3175,1260,531,246,108,41,8,0" +
         " n=1048576 bound=30680521" +
-        " sha256=94bd52d522a3431fac90afc8f360cdadee739233ea2eefdba44f16f6bea3e730"),
+        " sha256=63454a3228d7d610fb5edf1cdd3b0c67c02b213a8f8e061aa2bd2165e84cb48b"),
     "merge64/Practical/seed=3" ->
-      ("sizes=6068,6068,5904,6068,5740,5740,6200,2231" +
+      ("sizes=6068,6068,5904,6068,5740,5740,6201,2233" +
         " states=511,63,62,59,52,36,8,0" +
         " n=1048576 bound=30680521" +
-        " sha256=ea1755a40b13389f6c5c98a0989f6e663f2e2708435d9394e1ebfc05f865812e"),
+        " sha256=d24fb5971309b296157b365c4d0a39185d47e3aaf21fdb37a49adbf6367e0561"),
     "tree64/Practical/seed=3" ->
-      ("sizes=5248,5904,6068,5740,6068,5904,6068,2241" +
+      ("sizes=5248,5904,6068,5740,6068,5904,6068,2242" +
         " states=32,6,5,4,3,2,1,0" +
         " n=1048576 bound=30680521" +
-        " sha256=d75b585a82279c9f24ca1a92a3ebf8e7718f2f24f177f3993692684a206946fc"),
+        " sha256=90f943cb78a4a3464e801bb387b56f27dbe11bbb62e22e9aee1093ec5fee3537"),
     "stream/Theory/seed=1" ->
-      ("sizes=9762,9728,9216,9984,10128,9728,6708" +
+      ("sizes=9762,9728,9216,9984,10128,9728,6707" +
         " states=2026,798,344,153,61,18,0" +
         " n=1048576 bound=78535044" +
-        " sha256=0d83a630e27f86601ead05f208ca0fec100c7ed277a547e21af4e77368066f98"),
+        " sha256=49318b27f0b3fa6cf73f906ce3eaa4ddc24c6c6fb73cf29e1bcc5f1715312e27"),
     "merge64/Theory/seed=1" ->
       ("sizes=9216,9984,9472,9984,9728,9984,6664" +
         " states=504,63,60,55,42,17,0" +
         " n=1048576 bound=78535044" +
-        " sha256=817aded93f1668732810862d20ac2eba3b74c5695984090a2dd9f2499b21a786"),
+        " sha256=bdaf1a606ff21810663995066f7563d14a7e2b692c5db181e4277603601bcf47"),
     "tree64/Theory/seed=1" ->
       ("sizes=9984,9728,9472,9984,9728,9984,6660" +
         " states=13,6,4,3,2,1,0" +
         " n=1048576 bound=78535044" +
-        " sha256=c04efd62ae8551289823d9aa188134a528280d9477828f8f797397b104573219"),
+        " sha256=634dce9dd239f8f713f9a7bfc85fd93511827526c2152e2d78a9083b09626962"),
     "stream/Theory/seed=2" ->
       ("sizes=9762,9728,9216,9984,10128,9728,6707" +
         " states=2026,798,344,153,61,18,0" +
         " n=1048576 bound=78535044" +
-        " sha256=08b71a77c6dd764c88cb8d7e01f174a21894cade0f097162de760447f0f70283"),
+        " sha256=f75da6c87209f47f27034265c2fc7d1e472dc17b25d1296dfc85eb90d9b26bcf"),
     "merge64/Theory/seed=2" ->
       ("sizes=9216,9984,9472,9984,9728,9984,6664" +
         " states=504,63,60,55,42,17,0" +
         " n=1048576 bound=78535044" +
-        " sha256=01d92d36912b06de9880f061e5174b6cba9824a9b872294f19a5728cba5d2cd0"),
+        " sha256=eff0d195f01c2acbd2bf0ed3ab4ff59f7af471e3809c192695224183f91a246a"),
     "tree64/Theory/seed=2" ->
       ("sizes=9984,9728,9472,9984,9728,9984,6660" +
         " states=13,6,4,3,2,1,0" +
         " n=1048576 bound=78535044" +
-        " sha256=103052e4da5871bef146b300b279c4cf3bb48d01feed86e75fe9fb48659927b1"),
+        " sha256=a8c83ff78a77be9bef4fc3ca21b1e05cd3c6de999498476afee006717065dcdc"),
     "stream/Theory/seed=3" ->
-      ("sizes=9762,9728,9216,9984,10128,9728,6708" +
+      ("sizes=9762,9728,9216,9984,10128,9728,6707" +
         " states=2026,798,344,153,61,18,0" +
         " n=1048576 bound=78535044" +
-        " sha256=1e35fc7e4007129b823c073b6f697efcfaf9cdd7cc5fe8a02fee495410706e15"),
+        " sha256=5caf63ac0db16978d4bb2f4c525cbe4e335a721558b5a5072090d69bd8043c79"),
     "merge64/Theory/seed=3" ->
       ("sizes=9216,9984,9472,9984,9728,9984,6664" +
         " states=504,63,60,55,42,17,0" +
         " n=1048576 bound=78535044" +
-        " sha256=56b30303a055231f7a4c82b158a5e38577ffc7d14bf41618c608a100017d1f72"),
+        " sha256=f6b3a53aae189f47659fb112acfc8fbfaede22541f3bce9c1d10004489e95e1e"),
     "tree64/Theory/seed=3" ->
       ("sizes=9984,9728,9472,9984,9728,9984,6660" +
         " states=13,6,4,3,2,1,0" +
         " n=1048576 bound=78535044" +
-        " sha256=ef349b8393ccda0a7d97f14f23269395f948f39cbdf7210c43507deb1e57a034"),
+        " sha256=e795999934c927e918df83cf0eb11d24313eb6bc7c8a5feb2f830bfb2f287706"),
     "stream/FixedK(12)/seed=1" ->
-      ("sizes=516,522,516,511,504,516,516,516,525,505,511" +
-        " states=43670,17434,7623,3598,1768,879,431,201,87,28,0" +
+      ("sizes=516,522,516,512,504,495,504,492,480,504,527" +
+        " states=43670,17434,7623,3598,1768,864,418,196,88,30,0" +
         " n=1048576 bound=16777216" +
-        " sha256=c5c86f54183c8edc91f6ef16b80c1f6d14f64a1282b05c848550676cc32cabaf"),
+        " sha256=0743ce245f81b3fe0c9f5efd187ab12ec5556581ec612ea404c90b3f50a4122e"),
     "merge64/FixedK(12)/seed=1" ->
-      ("sizes=516,516,516,504,480,516,492,516,468,492,516,9" +
-        " states=1023,2047,255,1022,120,63,60,57,48,28,1,0" +
+      ("sizes=516,516,516,504,504,516,492,480,516,522,513" +
+        " states=1023,2047,255,1022,118,63,60,56,49,26,0" +
         " n=1048576 bound=16777216" +
-        " sha256=1f09e3663d59b48a43aa5cb4f236a034131c72a5da6b65244ed9525fcf52d2dd"),
+        " sha256=d890d6598245c284d80c12bdf3487fb98fb526a5ec82ac8cec6dfe9d133ce6f9"),
     "tree64/FixedK(12)/seed=1" ->
-      ("sizes=504,504,504,516,468,504,516,516,504,516,513" +
-        " states=666,250,102,35,16,14,5,7,2,1,0" +
+      ("sizes=504,504,504,516,456,504,516,516,504,516,512" +
+        " states=666,250,102,35,32,14,5,3,2,1,0" +
         " n=1048576 bound=16777216" +
-        " sha256=5ebc599e5fb3eeb5872adf4934066101799cd98b6c3932da3bdd5b455c7717c3"),
+        " sha256=8619914c830ca140e3f9d932b79e37fe49a3d602fc5d3c12124bda4e123b50ff"),
     "stream/FixedK(12)/seed=2" ->
-      ("sizes=516,522,516,511,503,504,480,516,508,516,507" +
-        " states=43670,17434,7623,3598,1768,870,424,199,84,29,0" +
+      ("sizes=516,522,516,499,480,516,504,497,516,515,514" +
+        " states=43670,17434,7623,3596,1768,869,422,200,89,30,0" +
         " n=1048576 bound=16777216" +
-        " sha256=9f8cd7d910f1ecc3de1bf085f68c1f0ce486ebe7cb4abe11185401a59733c63e"),
+        " sha256=311f8ff951df8f11650626a4576b75dc3dbc8f06bf2d3fd4811830a01362625b"),
     "merge64/FixedK(12)/seed=2" ->
-      ("sizes=516,516,516,504,480,516,492,480,516,524,512" +
-        " states=1023,2047,255,1022,120,63,60,56,49,26,0" +
-        " n=1048576 bound=16777216" +
-        " sha256=79c964294d2375bcbe8ee89067ead26ae71c7473bb7af0e0cb27d54e26bb3a77"),
-    "tree64/FixedK(12)/seed=2" ->
-      ("sizes=504,504,504,516,456,504,516,516,504,516,513" +
-        " states=666,250,102,35,32,6,13,3,2,1,0" +
-        " n=1048576 bound=16777216" +
-        " sha256=43d994fabe9d76cb33d365ed75a0b70a2e9469dfba1736a63a2d8f0d057ade73"),
-    "stream/FixedK(12)/seed=3" ->
-      ("sizes=516,522,516,512,492,516,504,480,516,506,521" +
-        " states=43670,17434,7623,3598,1776,879,426,200,87,28,0" +
-        " n=1048576 bound=16777216" +
-        " sha256=f4a36ee50f32ceba9cc810b92d7f734bc8cde95d3ec4578b3b516236f8f6f103"),
-    "merge64/FixedK(12)/seed=3" ->
-      ("sizes=516,516,516,504,516,516,492,480,516,522,509" +
+      ("sizes=516,516,516,504,516,516,492,480,516,504,521" +
         " states=1023,2047,255,1022,119,63,60,56,49,26,0" +
         " n=1048576 bound=16777216" +
-        " sha256=aee9771dfd7560c63045c7b630029e4c45c7e2d418ab0a0acbcfc46c54ad27da"),
-    "tree64/FixedK(12)/seed=3" ->
-      ("sizes=504,504,504,516,468,504,516,516,504,516,514" +
-        " states=666,250,102,35,16,14,13,3,2,1,0" +
+        " sha256=3af6c52d2c57b362d09b4fcc766c74451efc055f4a9b9b0fcd5cc164976bdea6"),
+    "tree64/FixedK(12)/seed=2" ->
+      ("sizes=504,504,504,516,456,504,516,516,504,516,513" +
+        " states=666,250,102,35,32,6,5,3,2,1,0" +
         " n=1048576 bound=16777216" +
-        " sha256=b0e90e641bd4138add02dd7a7a963be0b91fd3b83825cb5c0f4b6a0965dd60d8")
+        " sha256=6f431f6a066d6dd4db26ff14dfead032aa4dd80a3f81ae42d5f8133ed9dd6af1"),
+    "stream/FixedK(12)/seed=3" ->
+      ("sizes=516,522,516,499,480,516,492,516,512,516,507" +
+        " states=43670,17434,7623,3596,1768,873,412,193,82,29,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=b3d0b0de8f44afbc67840f4dd4e9f51d0328c98396c74b4aa789463bf147f2df"),
+    "merge64/FixedK(12)/seed=3" ->
+      ("sizes=516,516,516,504,516,516,492,516,468,492,516,8" +
+        " states=1023,2047,255,1022,123,63,60,57,48,28,1,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=a8e2cd408f70a451eef331b8d91570214ccabe25d2743722368edbd956b1be2a"),
+    "tree64/FixedK(12)/seed=3" ->
+      ("sizes=504,504,504,516,456,468,516,516,504,516,513" +
+        " states=666,250,102,35,32,16,13,3,2,1,0" +
+        " n=1048576 bound=16777216" +
+        " sha256=b12137d8e8204a8e1d6559d465e737a8b3aacf58bfedb00d4e222bc029e84cdd")
   )
 
   private def goldenSketch(profile: ParamProfile, eps: Double, seed: Int, mode: String): ReqSketch = {
@@ -465,33 +465,33 @@ class ReqSketchSpec extends AnyFunSuite {
 
   /** `queryDigest` of each golden sketch. */
   private val goldenQueries: Map[String, String] = Map(
-    "stream/Practical/seed=1" -> "e5fb09dce640de45f4c9ef4d2b99b4568f903cff415f0773093259b96a1ed845",
-    "merge64/Practical/seed=1" -> "25f691b75a365bcbbefb73e0e9258b37084180f8866b563696800842c7a4939b",
-    "tree64/Practical/seed=1" -> "12d1c26ece43db445b6660787bd4ff2fcc719b2348d99667f4ba2a703aecfbb8",
-    "stream/Practical/seed=2" -> "68e743904f9951389d0b8b3c9f5b71c4dfdcc3418fd8b48791693f66cf8d285a",
-    "merge64/Practical/seed=2" -> "fbd92adadb5216d2a195ce73bd42cfde36bcb46f4dcde3bb7064a46b7afa7c12",
-    "tree64/Practical/seed=2" -> "8ab83005d0d53d3993dddf6f38a724dbd8de9b1e1ea5eabbfdeff7b1cfc30ace",
-    "stream/Practical/seed=3" -> "e30dfc1dc361730eb17323aa70ad9256b7d5361ec86233d12f21d53cacb13f85",
-    "merge64/Practical/seed=3" -> "0ff9a374f07ba47b702cd1d2c9cee585102d3ef12a95de47e223f0575f03f659",
-    "tree64/Practical/seed=3" -> "02c7c9cbc13a1eec1a563be6a663a1dd0c3c7bc980b3552972e060e75a412356",
-    "stream/Theory/seed=1" -> "0a40c39aae7bf441cc50523804f2d1accde115dd9bb2d7d6a8e0f75ed03ba9d4",
-    "merge64/Theory/seed=1" -> "5f12d8a9579515cc6785cc2dafed5907a1c8ee5e25b104894eb4bbfba6b3cebf",
-    "tree64/Theory/seed=1" -> "24af0b3c5a0eb78fe5e18f2e3209eb4c48e160843e6ae68ee966e022fd6637f6",
-    "stream/Theory/seed=2" -> "554876cd27238c4cf903449e9bb718accb00ee13677b61343856980ed854a558",
-    "merge64/Theory/seed=2" -> "4d2357ed1634d243c5ff3be9e60c3ced820ac10ca3fe1d70b8c98b59d5c3ff05",
-    "tree64/Theory/seed=2" -> "24768225e904f4954610bee412146022994c541cd0fb5693a7f8bdf8d050f87a",
-    "stream/Theory/seed=3" -> "41e41c3a226aeff24655cb0951a1a6d21b689ff8430444d68f66db0ff16b3954",
-    "merge64/Theory/seed=3" -> "d4ac05b128368f50b6cc4da18fb1ad4ac15dff67f18c2cf1f0b1987059eac70c",
-    "tree64/Theory/seed=3" -> "fc3ef67580e28942c2b9aab2702f1859feaaddc6d3b20af891962d3943895853",
-    "stream/FixedK(12)/seed=1" -> "53ceb161ce4e1d6369009f995351d17abd4c15f311f4d20a843e8843ca45d5dc",
-    "merge64/FixedK(12)/seed=1" -> "044cbcce2dfcfa54c3d26e7dbaacb3faa139f2017680a9eeab680035f83afbcc",
-    "tree64/FixedK(12)/seed=1" -> "8aeb19b59934dd0617dbc0c44ed694bb1f0a107e7c3e5b9428f5d660bd1fe7f3",
-    "stream/FixedK(12)/seed=2" -> "284049dd00fbb9fea8807a606f743a93f96fd96b9c06e09bb0976695a60ac559",
-    "merge64/FixedK(12)/seed=2" -> "8e144b628523eee8e56650d1134489108cb78f097f6b36a58a9cb7b13e744311",
-    "tree64/FixedK(12)/seed=2" -> "4a21f59c41f14aef9e4bafe562094e9d1dbb2432b4ea7ad2e35cf27d35ac1361",
-    "stream/FixedK(12)/seed=3" -> "4b21025f818e27055cc1e75763cc2a079cd6fb168d9e1edc8b04a9121bf8719a",
-    "merge64/FixedK(12)/seed=3" -> "ed41c39f1c4412a7dee09bfe005763e71453c36d9e2383de7a748b4a88fd9856",
-    "tree64/FixedK(12)/seed=3" -> "58138f341a89f841dd290f9eef3a373eb2e097b1662f3bd9abee03c5ae2a1260"
+    "stream/Practical/seed=1" -> "47016929944d46642621477023d419c14629f9149cd34ec6861cf1f7e3077b78",
+    "merge64/Practical/seed=1" -> "79f3b2b5cc1acfa155626cb2fdc4cc4ea854590fa28f3556476714b693a4e307",
+    "tree64/Practical/seed=1" -> "31046624b1570c716429b8f26f9d27bee53a18c9ca3b13e552a01fe82872f5b8",
+    "stream/Practical/seed=2" -> "bf078514f25ffbe42670c7a176046826767281fb6595a73b479b378b015c4876",
+    "merge64/Practical/seed=2" -> "392bc0ac71c4b7b9ff5f5a2dcddbb27ca8b06bad86daf08d4d2feec7893f24ea",
+    "tree64/Practical/seed=2" -> "146c462bae119850be5b14665526daf93c433b7d2af70e7ab8c8916840534458",
+    "stream/Practical/seed=3" -> "476f9d0c9da99f96fe0f8facdd9ae3860f3a115c794cbb3e2ab6bc4c9638dafc",
+    "merge64/Practical/seed=3" -> "0e7e9eb34b84a57f306114d57f91ccc8b96f469eb49b663801bba3a3732660b3",
+    "tree64/Practical/seed=3" -> "899cee2dabf0fb72ec509863c0ef1057ab98ad5a48a32675b4bd9cfb7af10fc1",
+    "stream/Theory/seed=1" -> "3a23695aa86e0d9279dde9640ac9da4ae32ec0387b054983254c1a4545bd2ddd",
+    "merge64/Theory/seed=1" -> "133ce97046b13ab5d138513b152a994487fd8b906fd8300e58cd39f72b8d3dfc",
+    "tree64/Theory/seed=1" -> "32688b310f4d422f0765ad2f2fd5dd1e15dfec7a5ba4c790dfd47a18d6e4affb",
+    "stream/Theory/seed=2" -> "0f0781c9f1a8d384565740910622e9c9aac4e9b59ef2ebd4ac10de5b3e57c5ac",
+    "merge64/Theory/seed=2" -> "527a5afb3cf7a44bc52f7c2aacf90963196d290a4f73a311045051345512c6aa",
+    "tree64/Theory/seed=2" -> "505d2c1aec649235f42775cb32bc0c0e41914c5d722d7fe8a91f0731388d77d7",
+    "stream/Theory/seed=3" -> "2ec33890d44bcca9527bc41821578500be28f21c03ef10ee591fd2e428741cbf",
+    "merge64/Theory/seed=3" -> "979e62a0439e66c431e775292bb749245055304ac9fea84c6926d534e09d08f0",
+    "tree64/Theory/seed=3" -> "a8280804edd6a52f1546ece62a534c06b022eb8ddc2b2da0534167b959912042",
+    "stream/FixedK(12)/seed=1" -> "95f8828c1309f7532a16f91ca22407bb976ff047945361a24d6098ef3e25b39b",
+    "merge64/FixedK(12)/seed=1" -> "504bc9a72e9f0b33f340ac1ebf7109af77f903bd8015478ca5d298759d69730d",
+    "tree64/FixedK(12)/seed=1" -> "ca1e352fbc48bc7a5448355adfdba77bd42116b1f5bb95407ab43959dfef6168",
+    "stream/FixedK(12)/seed=2" -> "2b96589aa349e01c9dd3659f29be2a40f3ef61fb6f316470a78b7b6b2be17add",
+    "merge64/FixedK(12)/seed=2" -> "90995f89167d3b15e3e8470fe937d3bd08a62b7c4a96c04ec89555505b37e157",
+    "tree64/FixedK(12)/seed=2" -> "9995e6d0f618d5ea091cd0a81af9337b4c2889370fd47951349308b324e4814a",
+    "stream/FixedK(12)/seed=3" -> "390a00297771b9a52c4c48d3ffd547105873c65b60eb2d541b7e5229cb829ed7",
+    "merge64/FixedK(12)/seed=3" -> "4e78cdba5a5f67aeb6aed989e6a04f678b7d339ad0eccb9d830cd7350944e0af",
+    "tree64/FixedK(12)/seed=3" -> "d8da54fa5c2973537a89ee462cdcf7d854e97ca62bf1beb002de8ac316cad3ce"
   )
 
   for ((profile, eps) <- goldenProfiles; seed <- 1 to 3; mode <- Seq("stream", "merge64", "tree64")) {

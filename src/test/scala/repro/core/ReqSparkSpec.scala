@@ -74,19 +74,16 @@ class ReqSparkSpec extends SparkSpec {
   test("sketchColumn merges in a fixed order: a local fold in that order gives the same bytes") {
     val df = spark.range(0, 100000, 1, numPartitions = 16).select(rand(25).as("v"))
     val parts = df.rdd.glom().collect()
-    // Sketches cross Spark as wire bytes, which restart the decoded sketch's
-    // RNG from its seed, so the local fold ships them where Spark does.
-    def shipped(s: ReqSketch): ReqSketch = ReqSketch.fromBytes(ReqSketch.toBytes(s))
     def partition(pid: Int): ReqSketch = {
       val s = ReqSketch(eps, 0.1, Practical, ReqSpark.mixSeed(26, pid))
       parts(pid).foreach(row => s.update(row.getDouble(0)))
-      shipped(s)
+      s
     }
     // treeAggregate's shape for 16 partitions: scale 4 at depth 2 gives 4
     // groups, scale 3 at depth 3 gives 5; group g holds i ≡ g (mod groups).
     for ((depth, groups) <- Seq(2 -> 4, 3 -> 5)) {
       val local = (0 until groups)
-        .map(g => shipped((g until 16 by groups).map(partition).reduce(_ merge _)))
+        .map(g => (g until 16 by groups).map(partition).reduce(_ merge _))
         .reduce(_ merge _)
       val s = ReqSpark.sketchColumn(df, "v", eps, 0.1, Practical, seed = 26, depth = depth)
       assert(ReqSketch.toBytes(s).sameElements(ReqSketch.toBytes(local)), s"depth $depth")

@@ -66,9 +66,47 @@ class SerializationSpec extends AnyFunSuite {
     val s = ReqSketch(0.1, 0.1, seed = 13)
     s.updateAll(Workloads.uniform(400000, 14))
     val bytes = ReqSketch.toBytes(s).length
-    // ~8-byte doubles plus boxing/structure overhead; must be far below raw n
+    // Packed key gaps, a few bytes per stored item (DESIGN.md, Wire format);
+    // the bound leaves ample room and must still be far below raw n
     assert(bytes < 64 * s.itemsStored + 4096, s"bytes=$bytes items=${s.itemsStored}")
     assert(bytes < 400000 * 8 / 4)
+  }
+
+  /** Streams the first half of a uniform stream into a sketch seeded
+    * `seed`, round-trips it, streams the second half into both copies and
+    * checks that they end in the same bytes.
+    */
+  private def decodedMidStreamMatches(seed: Long): Unit = {
+    val data = Workloads.uniform(1 << 18, 38)
+    val (head, tail) = data.splitAt(data.length / 2)
+    for ((profile, eps) <- Seq(Practical -> 0.01, FixedK(12) -> 0.01)) {
+      val live = ReqSketch(eps, 0.05, profile, seed)
+      live.updateAll(head)
+      val decoded = roundTrip(live)
+      live.updateAll(tail)
+      decoded.updateAll(tail)
+      assert(ReqSketch.toBytes(decoded).sameElements(ReqSketch.toBytes(live)), s"$profile")
+    }
+  }
+
+  test("a sketch decoded mid-stream ends in the original's bytes after equal updates") {
+    decodedMidStreamMatches(seed = 39)
+  }
+
+  test("a seed 0 sketch decoded mid-stream ends in the original's bytes after equal updates") {
+    decodedMidStreamMatches(seed = 0)
+  }
+
+  test("a merge of 16 decoded chunk sketches has the bytes of the merge of the live ones") {
+    val data = Workloads.uniform(1 << 18, 40)
+    def chunks: Seq[ReqSketch] = data.grouped(1 << 14).zipWithIndex.map { case (part, i) =>
+      val s = ReqSketch(0.01, 0.05, FixedK(12), seed = 41 + i)
+      s.updateAll(part)
+      s
+    }.toSeq
+    val live = chunks.reduce(_ merge _)
+    val decoded = chunks.map(roundTrip).reduce(_ merge _)
+    assert(ReqSketch.toBytes(decoded).sameElements(ReqSketch.toBytes(live)))
   }
 
   test("FixedK profile (case class) round-trips") {
@@ -145,21 +183,21 @@ class SerializationSpec extends AnyFunSuite {
   }
 
   private val goldenBytes = Seq[(ParamProfile, Double, Int, String)](
-    (Practical, 0.01, 195851, "f651d44d0da4c05c4c7263673bb572c6b2280303a6494b832f0996bc2a0195c6"),
-    (Theory, 0.05, 269695, "e48600865c507cf3ffd660ef1e51ffb10abc88809289b33559dfed346ece7434"),
-    (FixedK(12), 0.01, 30991, "7a8379d977d394aa091c96ccd32027873d99ec131512cf405db915f9607dca7b"))
+    (Practical, 0.01, 195843, "17b1c000d898d9797788be4c96c690c8d6661f057a5c2de7eead17bb856ebbbd"),
+    (Theory, 0.05, 269687, "5896dcc7625c92fe8e67d7a170904da153dc975d16e68ec3e340cc70be94fb13"),
+    (FixedK(12), 0.01, 30687, "933b1dcc65f6c5d30fa0c510ebe22e4723e95959d896cb628bc3856a14789e5e"))
 
   /** Version 2 bytes of the same sketches as `goldenBytes`. */
   private val goldenBytesV2 = Seq[(ParamProfile, Double, Int, String)](
-    (Practical, 0.01, 144267, "830944356388c2f83453b590df9154c559baf50d93b8dc2ec8e1f34294d9b3ef"),
-    (Theory, 0.05, 209517, "e3acde360ad5c67b73e81c951b8a9d09b961889b629f86a60cc1e6a86405249a"),
-    (FixedK(12), 0.01, 24698, "df90dcf8dfcebb4772b7c23f4a238daef7f5e8c6bc4519bf523ad46fe682c674"))
+    (Practical, 0.01, 144262, "68c5bd96f688aca5a98920f79dfea1616a08e4b72a546186cd901412cb5df545"),
+    (Theory, 0.05, 209512, "3b98eb144c2e75409df0ece4bb5362bb836f10ab09a22b5fdd0357c408fdafdc"),
+    (FixedK(12), 0.01, 24652, "a7dbf72253868f9e2e76d55dc0ecd6da95d9cbb5950415cb5089c4910231af26"))
 
   /** Version 3 `toBytes` of the same sketches as `goldenBytes`. */
   private val goldenBytesV3 = Seq[(ParamProfile, Double, Int, String)](
-    (Practical, 0.01, 131809, "c235aa37290724344b84995b042d7337fe1a457599ef5f4b969b6b5b51b535b0"),
-    (Theory, 0.05, 178830, "e9802c0a283bc140d9c1287410fed1fc485816e739d477b50b8a2655208c4c5c"),
-    (FixedK(12), 0.01, 22642, "8ba30c4389cffa7d1336ec862990bd788298b8e8e33ed75843f3a483d061ec1c"))
+    (Practical, 0.01, 131842, "8fe552adf2d789e62314ebeb2bbe33651e3ecf2ac02b47c7b200b3a2ffce8fe7"),
+    (Theory, 0.05, 178841, "f4cacf656986a367dafd2d25cebbca04ead9b75fd395bb5f66f1c18c742e219a"),
+    (FixedK(12), 0.01, 22461, "6cd3f850f083d80d6b9f6a10dadd46de0ef62037ae263fce3b39bb972bad4d08"))
 
   for ((profile, eps, length, digest) <- goldenBytesV3) {
     test(s"golden bytes: SHA-256 of toBytes for a fixed $profile sketch") {
