@@ -105,7 +105,7 @@ object CpuProbe {
         var i = 0
         while (i < data.length) {
           level.insert(data(i))
-          if (level.isAtCapacity) level.compactInto(level.scheduledStart, coin)(new RelativeCompactor(2, 2))
+          if (level.isAtCapacity) level.compactInto(level.scheduledStart, coin.nextBoolean())(new RelativeCompactor(2, 2))
           i += 1
         }
       }

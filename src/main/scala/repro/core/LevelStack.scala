@@ -3,11 +3,11 @@ package repro.core
 import scala.collection.mutable.ArrayBuffer
 
 /** The level stack shared by `ReqSketch` and the protected-half baseline:
-  * relative-compactor levels, level h holding items of weight `2^h`, one
-  * compaction-coin RNG and the count of items summarized. The paper's
-  * "simple approach" (Section 1) is this stack with the schedule removed,
-  * and Algorithms 2 and 4 run the same operations on it for both: the
-  * bottom-up compaction cascade and the level-by-level merge. Every query
+  * relative-compactor levels, level h holding items of weight `2^h`, the
+  * seed of their compaction coins and the count of items summarized. The
+  * paper's "simple approach" (Section 1) is this stack with the schedule
+  * removed, and Algorithms 2 and 4 run the same operations on it for both:
+  * the bottom-up compaction cascade and the level-by-level merge. Every query
   * (`rank`, `quantile`, `coreset`) reads the weighted coreset of Section
   * 2.2, and `rank` and `quantile` share one weighted count over keys.
   *
@@ -15,7 +15,7 @@ import scala.collection.mutable.ArrayBuffer
   * starts, and appends its own first level once the parameters
   * `newLevel()` reads are set.
   *
-  * @param seed RNG seed; 0 means "seed from entropy" (`ReqSketch.newRng`)
+  * @param seed coin seed; 0 means "draw one from entropy" (`coinSeed`)
   */
 abstract class LevelStack(val seed: Long) {
 
@@ -24,7 +24,10 @@ abstract class LevelStack(val seed: Long) {
   /** Total number of input items summarized. */
   protected[core] var count: Long = 0L
 
-  protected lazy val rng: java.util.Random = ReqSketch.newRng(seed)
+  /** The seed coins derive from: `seed`, or a non-zero draw from entropy,
+    * made once, when `seed` is 0. The wire carries it.
+    */
+  protected[core] val coinSeed: Long = if (seed != 0) seed else ReqSketch.entropySeed()
 
   /** An empty level with the stack's current parameters. */
   protected def newLevel(): RelativeCompactor
@@ -108,12 +111,22 @@ abstract class LevelStack(val seed: Long) {
     w
   }
 
+  /** The coin of the next compaction of level h: the top bit of a SplitMix64
+    * hash of (coin seed, h, C_h), C_h the level's state before it. C_h rises
+    * by one at each compaction and an OR merge never lowers it, so no
+    * (h, C_h) repeats in one sketch's history, and a sketch decoded from its
+    * bytes, which carry the seed and every C_h, draws the coins the original
+    * would.
+    */
+  protected def coin(h: Int): Boolean =
+    ReqSketch.scramble(ReqSketch.scramble(coinSeed) + ReqSketch.Gamma * h + levels(h).state) < 0
+
   /** Compacts level h from index `from` of its sorted order and cascades
     * the output, a sorted run of keys, into level h+1, creating it if
     * needed, by merging it into that level's sorted keys.
     */
   protected def promote(h: Int, from: Int): Unit =
-    levels(h).compactInto(from, rng) {
+    levels(h).compactInto(from, coin(h)) {
       if (h + 1 == levels.size) levels += newLevel()
       levels(h + 1)
     }

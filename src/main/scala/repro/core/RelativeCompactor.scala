@@ -37,7 +37,7 @@ import java.nio.{ByteBuffer, ByteOrder}
   * least half the main run's length. The short run folds into the main run
   * when it reaches half the main run's length, and whenever a reader needs
   * the level as one run. The coin that picks odd/even survivors is supplied
-  * by the caller so the sketch owns a single RNG stream.
+  * by the caller, which derives it from the level and its state.
   */
 final class RelativeCompactor(var k: Int, var numSections: Int) {
   import RelativeCompactor._
@@ -128,11 +128,12 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     * compaction (Algorithm 1 lines 6–13, Algorithm 4 line 17), which keeps
     * the lowest `B − L` items; from `capacity / 2` it is the special
     * compaction (Appendix C), which keeps the B/2 smallest and is a no-op
-    * at or below B/2 items.
+    * at or below B/2 items. `coin` is evaluated once, before the state
+    * advances, and only when the range is not empty.
     */
-  private[core] def compactInto(from: Int, rng: java.util.Random)(above: => RelativeCompactor): Unit = {
+  private[core] def compactInto(from: Int, coin: => Boolean)(above: => RelativeCompactor): Unit = {
     val s = scratch.get()
-    val n = compactFrom(from, rng, s)
+    val n = compactFrom(from, coin, s)
     if (n > 0) above.mergeKeys(s.out, n)
   }
 
@@ -145,12 +146,12 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     * equal keys taking the main run's below the short run's. The short run
     * then moves down onto what is left of the main run.
     */
-  private def compactFrom(from: Int, rng: java.util.Random, s: Scratch): Int = {
+  private def compactFrom(from: Int, coin: => Boolean, s: Scratch): Int = {
     val lo = math.max(0, math.min(from, len))
     val count = len - lo
     if (count <= 0) return 0
     sortTail()
-    val offset = if (rng.nextBoolean()) 1 else 0
+    val offset = if (coin) 1 else 0
     val n = (count - offset + 1) / 2
     s.reserveOut(n)
     val out = s.out

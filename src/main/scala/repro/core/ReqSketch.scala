@@ -20,15 +20,17 @@ import java.nio.ByteBuffer
   *
   * Instances are mutable. `ReqSketch.toBytes`/`fromBytes` define a versioned
   * binary wire format; Java serialization (Spark aggregation buffers and task
-  * results) writes the same bytes through a proxy, never the fields. A
-  * decoded sketch re-creates its RNG lazily (from `seed`, or entropy when
-  * `seed == 0`). Not thread-safe.
+  * results) writes the same bytes through a proxy, never the fields. Each
+  * compaction's coin is a function of the coin seed, the level and the
+  * level's state (`LevelStack.coin`), all of which the bytes carry, so a
+  * decoded sketch continues exactly as the original would. Not thread-safe.
   *
   * @param eps     target relative error ε ∈ (0, 1]
   * @param delta   target failure probability δ ∈ (0, 0.5]
   * @param profile constant schedule (Theory / Practical / FixedK)
-  * @param seed    RNG seed; 0 means "seed from entropy" (use explicit seeds
-  *                for reproducible tests, distinct per distributed partition)
+  * @param seed    coin seed; 0 means "draw one from entropy", once, which
+  *                `toBytes` writes in its place (use explicit seeds for
+  *                reproducible tests, distinct per distributed partition)
   */
 final class ReqSketch(
     val eps: Double,
@@ -130,8 +132,7 @@ final class ReqSketch(
     compressAll()
   }
 
-  private def square(x: Long): Long =
-    if (x >= 3037000499L) Long.MaxValue else x * x
+  private def square(x: Long): Long = if (x >= 3037000499L) Long.MaxValue else x * x
 
   private def writeReplace(): AnyRef = new ReqSketch.Wire(ReqSketch.toBytes(this))
 
@@ -144,9 +145,7 @@ object ReqSketch {
   /** SplitMix64's increment (2^64 / the golden ratio). */
   private[core] val Gamma = 0x9e3779b97f4a7c15L
 
-  /** SplitMix64 finalizer — decorrelates nearby seeds before they reach
-    * java.util.Random.
-    */
+  /** SplitMix64 finalizer — decorrelates nearby seeds and coin counters. */
   def scramble(seed: Long): Long = {
     var z = seed + Gamma
     z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
@@ -154,14 +153,8 @@ object ReqSketch {
     z ^ (z >>> 31)
   }
 
-  /** The compaction-coin RNG of a sketch with this seed, shared by every
-    * sketch class. The seed is scrambled because java.util.Random's first
-    * outputs are heavily correlated across small sequential seeds, which
-    * would correlate the coins of chunk sketches seeded 1, 2, 3… A seed of 0
-    * seeds from entropy.
-    */
-  def newRng(seed: Long): java.util.Random =
-    if (seed != 0) new java.util.Random(scramble(seed)) else new java.util.Random()
+  /** A non-zero coin seed from entropy, for a sketch built with seed 0. */
+  private[core] def entropySeed(): Long = java.util.concurrent.ThreadLocalRandom.current().nextLong() | 1L
 
   /** Fresh empty sketch. See class docs for parameter meanings. */
   def apply(eps: Double = 0.01,
@@ -198,7 +191,7 @@ object ReqSketch {
       case FixedK(k) => (2, k)
     }
     out.putInt(Magic).put(Version).put(0.toByte).putDouble(s.eps).putDouble(s.delta)
-      .put(tag.toByte).putInt(fixedK).putLong(s.seed).putLong(s.count).putLong(s.bound)
+      .put(tag.toByte).putInt(fixedK).putLong(s.coinSeed).putLong(s.count).putLong(s.bound)
       .putInt(s.k).putInt(s.sections).putInt(s.levels.size)
     s.levels.foreach(_.writeRecord(out))
     java.util.Arrays.copyOf(out.array(), out.position())

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{LevelStack, RelativeCompactor}
+import repro.core.{LevelStack, RelativeCompactor, ReqSketch}
 
 /** The "simple approach" the paper starts from and rejects (Section 1,
   * *Challenges and techniques*): each level is a buffer of fixed capacity B
@@ -54,6 +54,15 @@ final class ProtectedHalfSketch(val bufferCapacity: Int, seed: Long) extends Lev
   protected def newLevel(): RelativeCompactor = new RelativeCompactor(2, bufferCapacity / 4)
 
   protected def compactionStart(level: RelativeCompactor): Int = level.capacity / 2
+
+  /** The baseline draws its coins from its own `java.util.Random`, seeded
+    * with the scrambled seed (entropy for 0), one boolean per non-empty
+    * compaction, which keeps its pinned states.
+    */
+  private lazy val rng =
+    if (seed != 0) new java.util.Random(ReqSketch.scramble(seed)) else new java.util.Random()
+
+  override protected def coin(h: Int): Boolean = rng.nextBoolean()
 }
 
 object ProtectedHalfSketch {

@@ -33,7 +33,7 @@ object CompactorOps {
 
     private def compactFrom(from: Int, rng: java.util.Random): Array[Double] = {
       val above = new RelativeCompactor(2, 2)
-      c.compactInto(from, rng)(above)
+      c.compactInto(from, rng.nextBoolean())(above)
       items(above)
     }
   }
