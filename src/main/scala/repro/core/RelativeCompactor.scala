@@ -122,37 +122,29 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     */
   private[core] def scheduledStart: Int = capacity - nextCompactionSections * k
 
-  /** Compacts from sorted index `from` as `compactFrom` does, and merges
-    * the promoted keys into `above`, which is evaluated only when the
-    * compaction promotes some. From `scheduledStart` this is the scheduled
-    * compaction (Algorithm 1 lines 6–13, Algorithm 4 line 17), which keeps
-    * the lowest `B − L` items; from `capacity / 2` it is the special
-    * compaction (Appendix C), which keeps the B/2 smallest and is a no-op
-    * at or below B/2 items. `coin` is evaluated once, before the state
-    * advances, and only when the range is not empty.
+  /** Compacts the suffix of the sorted order starting at 0-based index
+    * `from`: promotes a uniformly random odd/even half of it (an odd-sized
+    * range promotes ⌊c/2⌋ or ⌈c/2⌉ items — unbiased, Algorithm 4 line 30)
+    * and merges the promoted keys into `above`, which is evaluated only when
+    * there are some. From `scheduledStart` this is the scheduled compaction
+    * (Algorithm 1 lines 6–13, Algorithm 4 line 17), which keeps the lowest
+    * `B − L` items; from `capacity / 2` it is the special compaction
+    * (Appendix C), which keeps the B/2 smallest and is a no-op at or below
+    * B/2 items. An empty range is a no-op that leaves the state as it is and
+    * never evaluates `coin`; any other evaluates it once, before the state
+    * advances. A range wholly in the main run is a strided copy from it; any
+    * other is walked down from the tops of both runs, equal keys taking the
+    * main run's below the short run's. The short run then moves down onto
+    * what is left of the main run.
     */
   private[core] def compactInto(from: Int, coin: => Boolean)(above: => RelativeCompactor): Unit = {
-    val s = scratch.get()
-    val n = compactFrom(from, coin, s)
-    if (n > 0) above.mergeKeys(s.out, n)
-  }
-
-  /** Compact the suffix of the sorted order starting at 0-based index
-    * `from`; promote a uniformly random odd/even half of it (an odd-sized
-    * range promotes ⌊c/2⌋ or ⌈c/2⌉ items — unbiased, Algorithm 4 line 30)
-    * into `s.out`, and return how many. An empty range is a no-op that
-    * leaves the state as it is. A range wholly in the main run is a strided
-    * copy from it; any other is walked down from the tops of both runs,
-    * equal keys taking the main run's below the short run's. The short run
-    * then moves down onto what is left of the main run.
-    */
-  private def compactFrom(from: Int, coin: => Boolean, s: Scratch): Int = {
     val lo = math.max(0, math.min(from, len))
     val count = len - lo
-    if (count <= 0) return 0
+    if (count <= 0) return
     sortTail()
     val offset = if (coin) 1 else 0
     val n = (count - offset + 1) / 2
+    val s = scratch.get()
     s.reserveOut(n)
     val out = s.out
     var i = main - 1 // the main run's highest key left
@@ -177,7 +169,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     main = i + 1
     sorted = lo
     state += 1
-    n
+    if (n > 0) above.mergeKeys(out, n)
   }
 
   /** Sorts the tail and merges it into the short run. */

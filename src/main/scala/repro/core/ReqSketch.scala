@@ -132,7 +132,8 @@ final class ReqSketch(
     compressAll()
   }
 
-  private def square(x: Long): Long = if (x >= 3037000499L) Long.MaxValue else x * x
+  private def square(x: Long): Long =
+    if (x >= 3037000499L) Long.MaxValue else x * x
 
   private def writeReplace(): AnyRef = new ReqSketch.Wire(ReqSketch.toBytes(this))
 
