@@ -19,7 +19,7 @@ import org.apache.spark.sql.functions.{col, udaf, udf}
   *  2. [[ReqSpark.sketchColumn]] — explicit per-partition sketches combined
   *     up a depth-d merge tree of `treeReduce`'s shape, which realizes an
   *     *arbitrary merge tree* (the Appendix C setting) and gives each
-  *     partition an independent RNG seed. Every merge runs in a fixed order,
+  *     partition an independent coin seed. Every merge runs in a fixed order,
   *     so a fixed seed gives the same sketch on every run.
   *
   * The UDAF's output is the sketch in its versioned binary wire format
