@@ -19,11 +19,12 @@ import java.nio.ByteBuffer
   * `O(ε⁻¹·log^1.5(εn)·√log(1/δ))` items.
   *
   * Instances are mutable. `ReqSketch.toBytes`/`fromBytes` define a versioned
-  * binary wire format; Java serialization (Spark aggregation buffers and task
-  * results) writes the same bytes through a proxy, never the fields. Each
-  * compaction's coin is a function of the coin seed, the level and the
-  * level's state (`LevelStack.coin`), all of which the bytes carry, so a
-  * decoded sketch continues exactly as the original would. Not thread-safe.
+  * binary wire format, the sketch's only serialized form: Spark aggregation
+  * buffers, shuffles and task results carry these bytes, and the class is not
+  * `java.io.Serializable`. Each compaction's coin is a function of the coin
+  * seed, the level and the level's state (`LevelStack.coin`), all of which the
+  * bytes carry, so a decoded sketch continues exactly as the original would.
+  * Not thread-safe.
   *
   * @param eps     target relative error ε ∈ (0, 1]
   * @param delta   target failure probability δ ∈ (0, 0.5]
@@ -37,7 +38,7 @@ final class ReqSketch(
     val delta: Double,
     val profile: ParamProfile,
     seed: Long
-) extends LevelStack(seed) with Serializable {
+) extends LevelStack(seed) {
 
   require(eps > 0 && eps <= 1, s"eps must be in (0,1], got $eps")
   require(delta > 0 && delta <= 0.5, s"delta must be in (0,0.5], got $delta")
@@ -134,11 +135,6 @@ final class ReqSketch(
 
   private def square(x: Long): Long =
     if (x >= 3037000499L) Long.MaxValue else x * x
-
-  private def writeReplace(): AnyRef = new ReqSketch.Wire(ReqSketch.toBytes(this))
-
-  private def readObject(in: java.io.ObjectInputStream): Unit =
-    throw new InvalidObjectException("a ReqSketch is deserialized through ReqSketch.Wire")
 }
 
 object ReqSketch {
@@ -270,13 +266,5 @@ object ReqSketch {
     if (in.hasRemaining)
       throw new StreamCorruptedException(s"${in.remaining} trailing bytes after a REQ sketch")
     s
-  }
-
-  /** What Java serialization writes for a sketch (Spark aggregation buffers,
-    * task results): its wire bytes, decoded by `fromBytes` on the way in.
-    */
-  @SerialVersionUID(1L)
-  private final class Wire(bytes: Array[Byte]) extends Serializable {
-    private def readResolve(): AnyRef = fromBytes(bytes)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions.{col, count, rand}
+import org.apache.spark.sql.functions.{col, count, lit, rand}
 import repro.{SparkSpec, SynthData}
 import repro.exp.{Harness, Workloads}
 
@@ -187,5 +187,22 @@ class ReqSparkSpec extends SparkSpec {
       .head().getAs[Array[Byte]]("sk")
     val s = ReqSketch.fromBytes(bytes)
     assert(s.n == 3 && s.rank(3.0) == 3 && s.quantile(1.0) == 3.0)
+  }
+
+  test("UDAF skips null rows, as sketchColumn does") {
+    import spark.implicits._
+    val df = Seq(Some(1.0), None, Some(2.0), None, Some(3.0)).toDF("x")
+    val row = df.agg(ReqSpark.reqUdaf(0.1, 0.1, Practical, seed = 27)(col("x")).alias("sk"),
+      count(col("x")).alias("cnt")).head()
+    val s = ReqSketch.fromBytes(row.getAs[Array[Byte]]("sk"))
+    assert(s.n == 3 && row.getAs[Long]("cnt") == 3)
+    assert(s.rank(0.0) == 0 && s.rank(3.0) == 3)
+  }
+
+  test("quantileUdf and rankUdf return NULL for a NULL sketch") {
+    val row = spark.range(1).select(
+      ReqSpark.quantileUdf(0.5)(lit(null).cast("binary")).alias("q"),
+      ReqSpark.rankUdf(0.5)(lit(null).cast("binary")).alias("r")).head()
+    assert(row.isNullAt(0) && row.isNullAt(1))
   }
 }

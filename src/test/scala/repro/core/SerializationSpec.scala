@@ -1,11 +1,12 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.encoders.encoderFor
 import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Workloads
 
 /** The versioned wire format (`toBytes`/`fromBytes`): round trips, the
-  * byte layout, rejection of foreign bytes, and Java serialization through
-  * the same bytes (Spark buffers, task results and the UDAF output).
+  * byte layout, rejection of foreign bytes, and the UDAF buffer's encoding
+  * as the same bytes. A sketch has no Java serialization.
   */
 class SerializationSpec extends AnyFunSuite {
 
@@ -568,22 +569,22 @@ class SerializationSpec extends AnyFunSuite {
     }
   }
 
-  test("Java serialization goes through the wire-format proxy") {
-    val s = ReqSketch(0.05, 0.1, FixedK(12), seed = 34)
-    s.updateAll(Workloads.uniform(100000, 35))
-    val wire = ReqSketch.toBytes(s)
-    val bos = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(s)
-    oos.close()
-    val serial = bos.toByteArray
-    assert(serial.length <= wire.length + 256, s"serialized=${serial.length} wire=${wire.length}")
-    assert(serial.indexOfSlice(wire) >= 0)
-    assert(serial.indexOfSlice("ReqSketch$Wire".getBytes("UTF-8")) >= 0)
-    assert(serial.indexOfSlice("RelativeCompactor".getBytes("UTF-8")) < 0)
-    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(serial))
-      .readObject().asInstanceOf[ReqSketch]
-    assert(state(back) == state(s))
+  test("the UDAF buffer encoder writes a sketch as its wire bytes and reads back its state") {
+    for (profile <- Seq(Practical, Theory, FixedK(12))) {
+      val s = ReqSketch(0.05, 0.1, profile, seed = 34)
+      s.updateAll(Workloads.uniform(100000, 35))
+      val encoder = encoderFor(new ReqSketchAggregator(0.05, 0.1, profile, seed = 34).bufferEncoder)
+        .resolveAndBind()
+      val row = encoder.createSerializer()(s)
+      assert(row.numFields == 1 && row.getBinary(0).sameElements(ReqSketch.toBytes(s)), s"$profile")
+      assert(state(encoder.createDeserializer()(row)) == state(s), s"$profile")
+    }
+  }
+
+  test("a ReqSketch is not java.io.Serializable") {
+    assert(!classOf[java.io.Serializable].isAssignableFrom(classOf[ReqSketch]))
+    val out = new java.io.ObjectOutputStream(new java.io.ByteArrayOutputStream())
+    intercept[java.io.NotSerializableException](out.writeObject(ReqSketch(0.05, 0.1, seed = 34)))
   }
 
   test("toBytes during a stream leaves the sketch's state as without it") {
