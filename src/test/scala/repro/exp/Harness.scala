@@ -61,12 +61,27 @@ object Harness {
     (queries, ExactRank.ranksLocal(sorted, queries))
   }
 
-  /** Size a KLL sketch to approximately `targetItems` stored items on a
-    * stream of length n (KLL stores ≈ 3k + 8·log₂(n/k); invert roughly).
+  /** The KLL k in [8, 65535] whose sketch of an n-item stream retains the
+    * count nearest `targetItems`. KLL's retained count depends only on n and
+    * k, so each candidate is fed n zeros. The count grows with k but not
+    * monotonically (one step of k can lose hundreds of items), so a binary
+    * search for the least k that reaches the target is followed by a scan of
+    * the 32 k on either side of it.
     */
   def kllKForItems(targetItems: Int, n: Long): Int = {
-    val overhead = 8 * math.max(1, (math.log(n.toDouble) / math.log(2)).toInt - 4)
-    math.max(8, (targetItems - overhead) / 3)
+    def kept(k: Int): Int = {
+      val s = KllDoublesSketch.newHeapInstance(k)
+      var i = 0L
+      while (i < n) { s.update(0.0); i += 1 }
+      s.getNumRetained
+    }
+    var lo = 8
+    var hi = 65535
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (kept(mid) >= targetItems) hi = mid else lo = mid + 1
+    }
+    (math.max(8, lo - 32) to math.min(65535, lo + 32)).minBy(k => math.abs(kept(k) - targetItems))
   }
 
   /** Rank of `y` in items, from a KLL sketch's normalized inclusive rank. */

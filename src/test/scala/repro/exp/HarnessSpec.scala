@@ -1,5 +1,6 @@
 package repro.exp
 
+import org.apache.datasketches.kll.KllDoublesSketch
 import repro.SparkSpec
 import repro.core.{Practical, ReqSketch}
 
@@ -94,10 +95,17 @@ class HarnessSpec extends SparkSpec {
     assert(rows.head.worstQueryFailRate >= 0 && rows.head.worstQueryFailRate <= 1)
   }
 
-  test("kllKForItems inverts the size formula approximately") {
-    val n = 1 << 20
-    val k = Harness.kllKForItems(1000, n)
-    assert(k >= 8 && k <= 400)
+  test("kllKForItems sizes KLL to within 0.5% of the target item count") {
+    // Measured |kept - target| / target: 0.0033 at most (300 -> 301 and
+    // 4000 -> 4011 at n = 2^16; 12141 -> 12141 and 12202 -> 12203 at
+    // n = 2^20, where the former size formula kept 9115 and 11575 items).
+    for ((n, target) <- Seq(65536 -> 300, 65536 -> 2898, 65536 -> 4000,
+                            (1 << 20) -> 12141, (1 << 20) -> 12202)) {
+      val kll = KllDoublesSketch.newHeapInstance(Harness.kllKForItems(target, n))
+      Workloads.uniform(n, 9).foreach(kll.update)
+      val rel = math.abs(kll.getNumRetained - target).toDouble / target
+      assert(rel <= 0.005, s"n=$n target=$target kept=${kll.getNumRetained}")
+    }
   }
 
   test("render produces an aligned table with all rows") {
