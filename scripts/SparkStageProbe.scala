@@ -7,7 +7,7 @@ import scala.jdk.CollectionConverters._
 import repro.SynthData
 import repro.core.ReqSpark
 
-/** Executor CPU and wall time, stage by stage, of one perfbench
+/** Executor CPU, wall time and bytes moved, stage by stage, of one perfbench
   * `spark-groupby` pass and of two references on the same cached frame:
   *  - `groupby`: the REQ `GROUP BY` (`reqUdaf`, then `quantileUdf` at three
   *    φ), collected;
@@ -17,10 +17,11 @@ import repro.core.ReqSpark
   * The frame is perfbench's: 2^21 rows (or `rows`), 16 zipf keys, 8
   * partitions, cached, on `local[<cores>]`. After two warm-up rounds, each
   * round runs the four once; a `SparkListener` sums executor CPU and run
-  * time per completed stage (stages are numbered in job order within a
-  * round; skipped stages are not counted). Prints, per query, the median
-  * over rounds of wall time and of each stage's CPU and run time, then the
-  * same as one JSON line.
+  * time, shuffle write bytes and task result bytes per completed stage
+  * (stages are numbered in job order within a round; skipped stages are not
+  * counted). Prints, per query, the median over rounds of wall time and of
+  * each stage's CPU, run time and bytes, with the bytes summed over stages
+  * beside the CPU total, then the same as one JSON line.
   *
   * Compile against a commit's main sources and run, one JVM per commit,
   * with the Scala compiler in Spark's jars (from the repository root):
@@ -39,7 +40,8 @@ object SparkStageProbe {
   /** Per-stage totals of the jobs run under a job group named `query/round`. */
   final class StageTimes extends SparkListener {
     private val groupOfStage = new ConcurrentHashMap[Int, String]()
-    val stages = new ConcurrentHashMap[(String, Int), (Long, Long, Int)]() // (cpu ns, run ms, tasks)
+    // (cpu ns, run ms, tasks, shuffle write bytes, task result bytes)
+    val stages = new ConcurrentHashMap[(String, Int), (Long, Long, Int, Long, Long)]()
     val started, ended = new AtomicLong
 
     override def onJobStart(e: SparkListenerJobStart): Unit = {
@@ -53,9 +55,10 @@ object SparkStageProbe {
     override def onStageCompleted(e: SparkListenerStageCompleted): Unit = {
       val info = e.stageInfo
       val group = groupOfStage.get(info.stageId)
-      if (group != null && info.taskMetrics != null)
-        stages.put((group, info.stageId),
-          (info.taskMetrics.executorCpuTime, info.taskMetrics.executorRunTime, info.numTasks))
+      val m = info.taskMetrics
+      if (group != null && m != null)
+        stages.put((group, info.stageId), (m.executorCpuTime, m.executorRunTime, info.numTasks,
+          m.shuffleWriteMetrics.bytesWritten, m.resultSize))
     }
   }
 
@@ -110,16 +113,24 @@ object SparkStageProbe {
         val nStages = perRound.map(_.length).max
         val stageStats = (0 until nStages).map { i =>
           val got = perRound.filter(_.length > i).map(_(i))
-          (median(got.map(_._1 / 1e6)), median(got.map(_._2.toDouble)), got.head._3)
+          (median(got.map(_._1 / 1e6)), median(got.map(_._2.toDouble)), got.head._3,
+            median(got.map(_._4.toDouble)), median(got.map(_._5.toDouble)))
         }
         val w = median(measured.map(r => wall((name, r))))
-        val stageText = stageStats.zipWithIndex.map { case ((cpu, run, tasks), i) =>
-          f"s$i cpu_ms $cpu%.0f run_ms $run%.0f tasks $tasks" }.mkString("; ")
+        val stageText = stageStats.zipWithIndex.map { case ((cpu, run, tasks, shuffle, result), i) =>
+          f"s$i cpu_ms $cpu%.0f run_ms $run%.0f tasks $tasks shuffle_write_b $shuffle%.0f result_b $result%.0f"
+        }.mkString("; ")
         val cpuTotal = stageStats.map(_._1).sum
-        println(f"$name%-12s wall_s $w%.3f cpu_ms $cpuTotal%.0f  ($stageText)")
-        val stagesJson = stageStats.map { case (cpu, run, tasks) =>
-          f"""{"cpu_ms": $cpu%.1f, "run_ms": $run%.1f, "tasks": $tasks}""" }.mkString("[", ", ", "]")
-        f""""$name": {"wall_s": $w%.4f, "cpu_ms": $cpuTotal%.1f, "stages": $stagesJson}"""
+        val shuffleTotal = stageStats.map(_._4).sum
+        val resultTotal = stageStats.map(_._5).sum
+        println(f"$name%-12s wall_s $w%.3f cpu_ms $cpuTotal%.0f shuffle_write_b $shuffleTotal%.0f " +
+          f"result_b $resultTotal%.0f  ($stageText)")
+        val stagesJson = stageStats.map { case (cpu, run, tasks, shuffle, result) =>
+          f"""{"cpu_ms": $cpu%.1f, "run_ms": $run%.1f, "tasks": $tasks, """ +
+            f""""shuffle_write_bytes": $shuffle%.0f, "result_bytes": $result%.0f}"""
+        }.mkString("[", ", ", "]")
+        f""""$name": {"wall_s": $w%.4f, "cpu_ms": $cpuTotal%.1f, "shuffle_write_bytes": $shuffleTotal%.0f, """ +
+          f""""result_bytes": $resultTotal%.0f, "stages": $stagesJson}"""
       }
       println(json.mkString(s"""{"seed": $seed, "rounds": $rounds, "rows": $rows, """, ", ", "}"))
     } finally spark.stop()
