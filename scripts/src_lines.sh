@@ -1,9 +1,11 @@
 #!/bin/sh
-# Non-comment lines of the main sources: per file and in total, the non-blank
-# lines under src/main/scala whose first non-blank characters are not `//`,
-# `*` or `/**`. Run from anywhere inside the repository.
+# Non-comment lines of the Scala sources under a directory, per file and in
+# total: the non-blank lines whose first non-blank characters are not `//`,
+# `*` or `/**`. The directory, relative to the repository root, defaults to
+# src/main/scala (`scripts/src_lines.sh src/test/scala` counts the tests).
+# Run from anywhere inside the repository.
 cd "$(git rev-parse --show-toplevel)" || exit 1
-find src/main/scala -name '*.scala' | sort | xargs awk '
+find "${1:-src/main/scala}" -name '*.scala' | sort | xargs awk '
   FNR == 1 && NR > 1 { printf "%6d  %s\n", n, prev; n = 0 }
   { prev = FILENAME; line = $0; sub(/^[ \t]+/, "", line) }
   line != "" && line !~ /^(\/\/|\*|\/\*\*)/ { n++; total++ }

@@ -25,18 +25,17 @@ import java.nio.{ByteBuffer, ByteOrder}
   * whose signed order is the total order of `java.util.Arrays.sort` on
   * doubles (−0.0 < 0.0, NaN last): a sorted main run, a sorted short run,
   * then the unsorted tail inserted since the last compaction. `insert`
-  * encodes; every merge, compaction and search compares keys as longs, the
-  * level record carries them as keys, and only the version 1 record reader
-  * encodes besides. A compaction sorts
-  * only the tail (left as is when already ascending, bucket- or
-  * radix-sorted otherwise) and merges it into the short run, then takes
-  * its range from the tops of both runs in one descending walk, so its
-  * output equals that of a full sort of the buffer. A run that is already
-  * sorted (a compaction output, or a merged level) is merged in at once by
-  * `mergeKeys`: into the short run, or into the main run when it is at
-  * least half the main run's length. The short run folds into the main run
-  * when it reaches half the main run's length, and whenever a reader needs
-  * the level as one run. The coin that picks odd/even survivors is supplied
+  * encodes; every merge, compaction and search compares keys as longs, and
+  * the level record carries them as keys. A compaction sorts only the tail
+  * (left as is when already ascending, bucket- or radix-sorted otherwise)
+  * and merges it into the short run, then takes its range from the tops of
+  * both runs in one descending walk, so its output equals that of a full
+  * sort of the buffer. A run that is already sorted (a compaction output,
+  * or a merged level) is merged in at once by `mergeKeys`: into the short
+  * run, or into the main run when it is at least half the main run's
+  * length. The short run folds into the main run when it reaches half the
+  * main run's length, and whenever a reader needs the level as one run.
+  * The coin that picks odd/even survivors is supplied
   * by the caller, which derives it from the level and its state.
   */
 final class RelativeCompactor(var k: Int, var numSections: Int) {
@@ -239,7 +238,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   // ------------------------------------------------------------ level record
   //
   // The one on-wire definition of a level, used by `ReqSketch.toBytes`
-  // (version 3): `size` (int32) and `C` (int64); when `size > 0`, the first
+  // and `read`: `size` (int32) and `C` (int64); when `size > 0`, the first
   // key (int64), then the `size − 1` gaps between adjacent keys in blocks of
   // `GapBlock`, the last block holding the rest (a one-key record has one
   // empty block). A block is a width byte `w`, the bit length of its widest
@@ -248,9 +247,7 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
   // level is written as one sorted run, so every gap is non-negative; `k`
   // and `numSections` come from the sketch header. `writeRecord` writes a
   // record in one pass, never knowing its exact size beforehand, into room
-  // for `maxRecordBytes`. A version 2 record is one block of all `size − 1`
-  // gaps. Version 1 (`readV1`) wrote `k, size, numSections: int32, C:
-  // int64`, then `size` big-endian float64 items.
+  // for `maxRecordBytes`.
 
   /** Bytes `writeRecord` writes at most: 12 for the count and state, then 8
     * for the first key and at most 8 per gap and 1 per block.
@@ -295,14 +292,12 @@ final class RelativeCompactor(var k: Int, var numSections: Int) {
     } while (i < len)
   }
 
-  /** Makes `keys(0 until size)`, ascending in its first `prefix`, the
-    * level's items, with schedule state `c`.
-    */
-  private def load(keys: Array[Long], size: Int, prefix: Int, c: Long): RelativeCompactor = {
+  /** Makes the ascending `keys` the level's items, with schedule state `c`. */
+  private def load(keys: Array[Long], c: Long): RelativeCompactor = {
     buf = keys
-    len = size
-    main = prefix
-    sorted = prefix
+    len = keys.length
+    main = len
+    sorted = len
     state = c
     this
   }
@@ -316,26 +311,23 @@ object RelativeCompactor {
   /** 2^52 − 1, the number of negative-NaN bit patterns. */
   private val NaNShift = (1L << 52) - 1
 
-  /** Order-preserving key of the raw bits `b` of a double: the signed order
-    * of keys is `Arrays.sort`'s order of doubles (−0.0 < 0.0), and every NaN
-    * sorts above +∞. Flipping the low 63 bits of a negative pattern orders
-    * the negatives; subtracting `NaNShift` then rotates the negative-NaN
-    * patterns, the lowest after the flip, past `Long.MaxValue` to the top.
-    * A bijection on all 2^64 bit patterns.
+  /** Order-preserving key of the double `x`, a bijection on all 2^64 raw
+    * bit patterns: the signed order of keys is `Arrays.sort`'s order of
+    * doubles (−0.0 < 0.0), and every NaN sorts above +∞. Flipping the low
+    * 63 bits of a negative pattern orders the negatives; subtracting
+    * `NaNShift` then rotates the negative-NaN patterns, the lowest after the
+    * flip, past `Long.MaxValue` to the top.
     */
-  @inline private def keyOf(b: Long): Long = (b ^ ((b >> 63) & Long.MaxValue)) - NaNShift
-
-  /** Inverse of `keyOf`: the raw bits of the double with key `k`. */
-  @inline private def bitsOf(k: Long): Long = {
-    val b = k + NaNShift
-    b ^ ((b >> 63) & Long.MaxValue)
+  @inline private[core] def key(x: Double): Long = {
+    val b = java.lang.Double.doubleToRawLongBits(x)
+    (b ^ ((b >> 63) & Long.MaxValue)) - NaNShift
   }
 
-  /** Key of the double `x` (`keyOf` its raw bits). */
-  @inline private[core] def key(x: Double): Long = keyOf(java.lang.Double.doubleToRawLongBits(x))
-
-  /** The double with key `k`. */
-  @inline private[core] def item(k: Long): Double = java.lang.Double.longBitsToDouble(bitsOf(k))
+  /** The double with key `k`: the inverse of `key` on raw bit patterns. */
+  @inline private[core] def item(k: Long): Double = {
+    val b = k + NaNShift
+    java.lang.Double.longBitsToDouble(b ^ ((b >> 63) & Long.MaxValue))
+  }
 
   /** Whether a level may have section size `k` and `sections` sections: k
     * even and ≥ 2, at least 2 sections, and a capacity 2·k·sections that
@@ -506,40 +498,29 @@ object RelativeCompactor {
   /** The most items a level record may hold: their bytes fit one array. */
   private val MaxItems: Int = Int.MaxValue / 8
 
-  /** Rejects a record of `size` items for levels of section size `k` and
-    * `sections` sections, unless the constructor accepts the parameters and
-    * the size is in `[0, B]`.
-    */
-  private def checkRecord(k: Int, sections: Int, size: Int): Unit = {
-    if (!validParams(k, sections)) throw new InvalidObjectException(paramsMessage(k, sections))
-    val maxSize = math.min(2L * k * sections, MaxItems)
-    if (size < 0 || size > maxSize)
-      throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
-  }
-
-  /** Gaps per block of a version 3 level record. */
+  /** Gaps per block of a level record. */
   private val GapBlock = 64
 
-  /** Blocks of a record of `size` keys whose gaps come in blocks of `block`:
-    * none when it is empty, and at least one otherwise.
+  /** Blocks of a record of `size` keys: none when it is empty, and at least
+    * one otherwise.
     */
-  private def blocks(size: Int, block: Int): Int = if (size == 0) 0 else 1 + math.max(0, size - 2) / block
+  private def blocks(size: Int): Int = if (size == 0) 0 else 1 + math.max(0, size - 2) / GapBlock
 
   /** Bytes of `gaps` packed gaps of `w` bits. */
   private def packedBytes(w: Int, gaps: Int): Long = (w.toLong * gaps + 7) >>> 3
 
-  /** Reads the keys of a level record of `size` ≥ 1 keys whose gaps come in
-    * blocks of `block`, after its count and state. Every block is read 64
-    * gaps at a time (which take exactly `w` words) in an inner loop with
-    * `Int` offsets: when `w` ≤ 56 a gap is one little-endian 8-byte load
-    * from its first byte, a shift, a mask and an add; a wider gap also takes
-    * the ninth byte. A block whose loads would pass the input's limit is read
-    * from a zero-padded copy of its bytes. A sum past `Long.MaxValue` wraps
-    * below the key before it, which one flag collects for a single check at
-    * the end.
+  /** Reads the keys of a level record of `size` ≥ 1 keys, after its count
+    * and state. Each block's gaps (64 of them, the last block's excepted,
+    * take exactly `w` words) are read in one loop with `Int` offsets: when
+    * `w` ≤ 56 a gap is one little-endian 8-byte load from its first byte, a
+    * shift, a mask and an add; a wider gap also takes the ninth byte. A
+    * block whose loads would pass the input's limit is read from a
+    * zero-padded copy of its bytes. A sum past `Long.MaxValue` wraps below
+    * the key before it, which one flag collects for a single check at the
+    * end.
     */
-  private def readKeys(in: ByteBuffer, size: Int, block: Int): Array[Long] = {
-    need(in, 8L + blocks(size, block)) // the first key and a width byte per block
+  private def readKeys(in: ByteBuffer, size: Int): Array[Long] = {
+    need(in, 8L + blocks(size)) // the first key and a width byte per block
     val keys = new Array[Long](size)
     var prev = in.getLong()
     keys(0) = prev
@@ -552,21 +533,20 @@ object RelativeCompactor {
       need(1, end - base)
       val w = b(base) & 0xff
       if (w > 64) throw new InvalidObjectException(s"gap width $w above 64")
-      val stop = i + math.min(block, size - i)
-      val bytes = packedBytes(w, stop - i)
+      val n = math.min(GapBlock, size - i)
+      val bytes = packedBytes(w, n)
       base += 1
       need(bytes, end - base)
-      if (w == 0) { java.util.Arrays.fill(keys, i, stop, prev); i = stop }
-      val mask = -1L >>> (64 - w)
-      var src = b // holds the next 64 gaps from index `at`
-      var at = base
-      if (i < stop && end - base < bytes + 8) {
-        src = new Array[Byte](bytes.toInt + 8)
-        System.arraycopy(b, base, src, 0, bytes.toInt)
-        at = 0
-      }
-      while (i < stop) {
-        val n = math.min(64, stop - i)
+      if (w == 0) java.util.Arrays.fill(keys, i, i + n, prev)
+      else {
+        val mask = -1L >>> (64 - w)
+        var src = b // holds the block's gaps from index `at`
+        var at = base
+        if (end - base < bytes + 8) {
+          src = new Array[Byte](bytes.toInt + 8)
+          System.arraycopy(b, base, src, 0, bytes.toInt)
+          at = 0
+        }
         var j = 0
         if (w <= 56) while (j < n) {
           val bit = j * w
@@ -586,9 +566,8 @@ object RelativeCompactor {
           prev = x
           j += 1
         }
-        i += n
-        at += 8 * w
       }
+      i += n
       base += bytes.toInt
     } while (i < size)
     in.position(base - in.arrayOffset())
@@ -602,48 +581,23 @@ object RelativeCompactor {
 
   @inline private def getLongLE(b: Array[Byte], i: Int): Long = LongLE.get(b, i): Long
 
-  /** Reads one level record of wire `version` 3 (see `writeRecord`) or 2,
-    * whose gaps are one block, of a sketch whose levels have section size
-    * `k` and `sections` sections. Parameters the constructor would reject,
-    * an item count outside `[0, B]` or fewer bytes than the first key and
-    * the width bytes are rejected before the keys are allocated, a width
-    * above 64 or too few bytes as each block is read, and keys past
-    * `Long.MaxValue` once all are read. `in` must be backed by an array, as
-    * `ReqSketch.fromBytes`'s is.
+  /** Reads one level record (see `writeRecord`) of a sketch whose levels
+    * have section size `k` and `sections` sections. Parameters the
+    * constructor would reject, an item count outside `[0, B]` or fewer
+    * bytes than the first key and the width bytes are rejected before the
+    * keys are allocated, a width above 64 or too few bytes as each block is
+    * read, and keys past `Long.MaxValue` once all are read. `in` must be
+    * backed by an array, as `ReqSketch.fromBytes`'s is.
     */
-  def read(in: ByteBuffer, k: Int, sections: Int, version: Int = 3): RelativeCompactor = {
+  def read(in: ByteBuffer, k: Int, sections: Int): RelativeCompactor = {
     need(in, 12)
     val (size, c) = (in.getInt(), in.getLong())
-    checkRecord(k, sections, size)
-    val block = if (version == 2) math.max(1, size - 1) else GapBlock
-    val keys = if (size == 0) Array.emptyLongArray else readKeys(in, size, block)
-    new RelativeCompactor(k, sections).load(keys, size, size, c)
-  }
-
-  /** Reads one version 1 level record, whose parameters must be `k` and
-    * `sections`. The sorted prefix is re-derived by the scan that encodes
-    * the items, never taken from the bytes, so an unsorted record still
-    * compacts correctly.
-    */
-  def readV1(in: ByteBuffer, k: Int, sections: Int): RelativeCompactor = {
-    need(in, 20)
-    val (recordK, size, recordSections, c) = (in.getInt(), in.getInt(), in.getInt(), in.getLong())
-    checkRecord(recordK, recordSections, size)
-    if (recordK != k || recordSections != sections)
-      throw new InvalidObjectException(s"level parameters ($recordK, $recordSections)" +
-        s" differ from the sketch's ($k, $sections)")
-    need(in, 8L * size)
-    val keys = new Array[Long](size)
-    in.asLongBuffer().get(keys)
-    in.position(in.position() + 8 * size)
-    var prefix = size // the ascending prefix's length
-    var i = 0
-    while (i < size) {
-      keys(i) = keyOf(keys(i))
-      if (prefix == size && i > 0 && keys(i - 1) > keys(i)) prefix = i
-      i += 1
-    }
-    new RelativeCompactor(k, sections).load(keys, size, prefix, c)
+    if (!validParams(k, sections)) throw new InvalidObjectException(paramsMessage(k, sections))
+    val maxSize = math.min(2L * k * sections, MaxItems)
+    if (size < 0 || size > maxSize)
+      throw new InvalidObjectException(s"compactor item count $size outside [0, $maxSize]")
+    val keys = if (size == 0) Array.emptyLongArray else readKeys(in, size)
+    new RelativeCompactor(k, sections).load(keys, c)
   }
 
   /** Fails with an `EOFException` unless `in` holds `bytes` more bytes. */

@@ -166,8 +166,8 @@ object ReqSketch {
   // (must be 0), ε, δ, profile tag and FixedK k, seed, n, N, k, sections and
   // the level count; then one level record per level
   // (`RelativeCompactor.writeRecord`), each a sorted run whose key gaps are
-  // bit-packed in blocks of 64, each block at its own width. Version 2 (one
-  // width per level) and version 1 (float64 items) are still read.
+  // bit-packed in blocks of 64, each block at its own width. Only this
+  // version is written or read.
 
   private val Magic = 0x52455153 // "REQS"
   private val Version: Byte = 3
@@ -205,18 +205,16 @@ object ReqSketch {
     * a NaN item (which `update` never stores) or a stored weight
     * Σ_h 2^h·size_h above `Long.MaxValue`, checked as each level is read.
     * A level is allocated at most B keys, the capacity that ε, δ and N fix;
-    * a record of equal keys claims them in one width byte per 64 keys (all
-    * of them in 21 bytes in version 2), so B, not the input's length, bounds
-    * what decoding allocates. Version 1 and version 2 bytes decode to the
-    * same sketch as version 3.
+    * a record of equal keys claims them in one width byte per 64 keys, so
+    * B, not the input's length, bounds what decoding allocates.
     */
   def fromBytes(b: Array[Byte]): ReqSketch = {
     val in = ByteBuffer.wrap(b)
     RelativeCompactor.need(in, HeaderBytes)
     if (in.getInt() != Magic) throw new StreamCorruptedException("not a REQ sketch: wrong magic")
     val version = in.get()
-    if (version < 1 || version > Version)
-      throw new InvalidObjectException(s"unsupported REQ sketch version $version (expected 1 to $Version)")
+    if (version != Version)
+      throw new InvalidObjectException(s"unsupported REQ sketch version $version (expected $Version)")
     val flags = in.get()
     if (flags != 0) throw new InvalidObjectException(s"unsupported REQ sketch flags $flags")
     val (eps, delta) = (in.getDouble(), in.getDouble())
@@ -253,9 +251,7 @@ object ReqSketch {
     val maxKey = RelativeCompactor.key(Double.PositiveInfinity) // every key above it is a NaN
     var weight = 0L // Σ 2^h·size_h so far: every rank must fit a Long
     for (h <- 0 until numLevels) {
-      val level =
-        if (version == 1) RelativeCompactor.readV1(in, k, sections)
-        else RelativeCompactor.read(in, k, sections, version)
+      val level = RelativeCompactor.read(in, k, sections)
       if (level.countAtMost(maxKey) < level.size)
         throw new InvalidObjectException(s"NaN item at level $h")
       if (level.size > ((Long.MaxValue - weight) >> h))

@@ -39,11 +39,11 @@ final class ReqSketchAggregator(
     seed: Long
 ) extends Aggregator[java.lang.Double, ReqSketch, Array[Byte]] {
 
-  /** A buffer seeded per partition through `ReqSpark.mixSeed`, as
+  /** A buffer seeded per partition through `ReqSpark.partitionSeed`, as
     * `sketchColumn` seeds its sketches; seed 0 still means entropy.
     */
-  override def zero: ReqSketch = ReqSketch(eps, delta, profile,
-    if (seed == 0) 0L else ReqSpark.mixSeed(seed, org.apache.spark.TaskContext.getPartitionId()))
+  override def zero: ReqSketch =
+    ReqSketch(eps, delta, profile, ReqSpark.partitionSeed(seed, org.apache.spark.TaskContext.getPartitionId()))
 
   /** Skips null, as `sketchColumn` does; `update` skips NaN. */
   override def reduce(b: ReqSketch, x: java.lang.Double): ReqSketch = { if (x != null) b.update(x); b }
@@ -76,6 +76,11 @@ object ReqSpark {
     if (m == 0) 1 else m // 0 means "entropy" to ReqSketch; keep determinism
   }
 
+  /** The coin seed of partition `pid`'s sketch: `mixSeed`, except that a
+    * base seed of 0 stays 0 (entropy).
+    */
+  private[core] def partitionSeed(seed: Long, pid: Int): Long = if (seed == 0) 0L else mixSeed(seed, pid)
+
   /** Build one REQ sketch for a numeric column: one sketch per partition
     * (seeded independently), combined via a depth-`depth` tree of Algorithm-4
     * merges. Nulls/NaNs are dropped. The column is read as Catalyst rows
@@ -99,8 +104,7 @@ object ReqSpark {
                    depth: Int = 2): ReqSketch = {
     val rows = df.select(col(column).cast("double")).queryExecution.toRdd
     var sketches: RDD[(Int, Array[Byte])] = rows.mapPartitionsWithIndex { (pid, it) =>
-      val s = ReqSketch(eps, delta, profile,
-        if (seed == 0) 0L else mixSeed(seed, pid))
+      val s = ReqSketch(eps, delta, profile, partitionSeed(seed, pid))
       it.foreach(row => if (!row.isNullAt(0)) s.update(row.getDouble(0))) // update skips NaN
       Iterator.single((pid, ReqSketch.toBytes(s)))
     }
@@ -134,10 +138,13 @@ object ReqSpark {
     udaf(new ReqSketchAggregator(eps, delta, profile, seed), Encoders.DOUBLE)
 
   /** UDF extracting a φ-quantile from a serialized sketch column; NULL for
-    * a NULL sketch.
+    * a NULL sketch. A φ outside (0, 1] is refused here, not by the first
+    * sketch a task reads.
     */
-  def quantileUdf(phi: Double): org.apache.spark.sql.expressions.UserDefinedFunction =
+  def quantileUdf(phi: Double): org.apache.spark.sql.expressions.UserDefinedFunction = {
+    require(phi > 0 && phi <= 1, s"phi must be in (0,1], got $phi")
     udf((bytes: Array[Byte]) => Option(bytes).map(ReqSketch.fromBytes(_).quantile(phi)))
+  }
 
   /** UDF extracting the estimated rank of `y` from a serialized sketch;
     * NULL for a NULL sketch.

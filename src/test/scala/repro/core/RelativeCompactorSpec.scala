@@ -49,10 +49,8 @@ class RelativeCompactorSpec extends AnyFunSuite {
 
   test("a level record whose capacity overflows an Int is rejected") {
     for ((k, sections) <- Seq((1 << 29, 2), (2, 1 << 30), (1 << 16, 1 << 15))) {
-      val v1 = java.nio.ByteBuffer.allocate(20).putInt(k).putInt(0).putInt(sections).putLong(0L)
-      intercept[java.io.InvalidObjectException](RelativeCompactor.readV1(v1.flip(), k, sections))
-      val v2 = java.nio.ByteBuffer.allocate(12).putInt(0).putLong(0L)
-      intercept[java.io.InvalidObjectException](RelativeCompactor.read(v2.flip(), k, sections))
+      val record = java.nio.ByteBuffer.allocate(12).putInt(0).putLong(0L)
+      intercept[java.io.InvalidObjectException](RelativeCompactor.read(record.flip(), k, sections))
     }
   }
 

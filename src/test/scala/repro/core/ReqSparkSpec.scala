@@ -205,4 +205,11 @@ class ReqSparkSpec extends SparkSpec {
       ReqSpark.rankUdf(0.5)(lit(null).cast("binary")).alias("r")).head()
     assert(row.isNullAt(0) && row.isNullAt(1))
   }
+
+  // Otherwise the query would fail in an executor at its first non-null sketch.
+  test("quantileUdf refuses a phi outside (0, 1] when it is built") {
+    for (bad <- Seq(0.0, -0.5, 1.5, Double.NaN))
+      intercept[IllegalArgumentException](ReqSpark.quantileUdf(bad))
+    ReqSpark.quantileUdf(1.0)
+  }
 }

@@ -127,18 +127,15 @@ class SerializationSpec extends AnyFunSuite {
   }
 
   /** Bytes of a sketch holding 3 items at level 0, with the level's item
-    * count replaced by `count`. The level record starts with the int32s k,
-    * the item count and numSections.
+    * count, the int32 that starts its record after the 63-byte header,
+    * replaced by `count`.
     */
   private def withLevelCount(count: Int): Array[Byte] = {
     val s = ReqSketch(0.1, 0.1, seed = 19)
     Seq(1.5, 2.5, 3.5).foreach(s.update)
-    val bytes = WireV1.toBytes(s)
-    val sections = s.bufferCapacity / (2 * s.sectionSize)
-    val fields = java.nio.ByteBuffer.allocate(12).putInt(s.sectionSize).putInt(3).putInt(sections)
-    val at = bytes.indexOfSlice(fields.array())
-    assert(at >= 0 && bytes.indexOfSlice(fields.array(), at + 1) < 0)
-    java.nio.ByteBuffer.wrap(bytes).putInt(at + 4, count)
+    val bytes = ReqSketch.toBytes(s)
+    assert(java.nio.ByteBuffer.wrap(bytes).getInt(63) == 3)
+    java.nio.ByteBuffer.wrap(bytes).putInt(63, count)
     bytes
   }
 
@@ -152,9 +149,8 @@ class SerializationSpec extends AnyFunSuite {
   test("a level holding a NaN item fails with an InvalidObjectException") {
     val s = ReqSketch(0.1, 0.1, seed = 19)
     Seq(1.5, 2.5, 3.5).foreach(s.update)
-    val bytes = WireV1.toBytes(s)
-    assert(bytes.length == 63 + 20 + 3 * 8)
-    java.nio.ByteBuffer.wrap(bytes).putDouble(99, Double.NaN) // level 0's third item
+    assert(ReqSketch.toBytes(s).drop(63).sameElements(recordOf(1.5, 2.5, 3.5)))
+    val bytes = ReqSketch.toBytes(s).take(63) ++ recordOf(1.5, 2.5, Double.NaN) // level 0's third item
     val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
     assert(e.getMessage.contains("level 0"))
   }
@@ -183,18 +179,7 @@ class SerializationSpec extends AnyFunSuite {
     bytes
   }
 
-  private val goldenBytes = Seq[(ParamProfile, Double, Int, String)](
-    (Practical, 0.01, 195843, "17b1c000d898d9797788be4c96c690c8d6661f057a5c2de7eead17bb856ebbbd"),
-    (Theory, 0.05, 269687, "5896dcc7625c92fe8e67d7a170904da153dc975d16e68ec3e340cc70be94fb13"),
-    (FixedK(12), 0.01, 30687, "933b1dcc65f6c5d30fa0c510ebe22e4723e95959d896cb628bc3856a14789e5e"))
-
-  /** Version 2 bytes of the same sketches as `goldenBytes`. */
-  private val goldenBytesV2 = Seq[(ParamProfile, Double, Int, String)](
-    (Practical, 0.01, 144262, "68c5bd96f688aca5a98920f79dfea1616a08e4b72a546186cd901412cb5df545"),
-    (Theory, 0.05, 209512, "3b98eb144c2e75409df0ece4bb5362bb836f10ab09a22b5fdd0357c408fdafdc"),
-    (FixedK(12), 0.01, 24652, "a7dbf72253868f9e2e76d55dc0ecd6da95d9cbb5950415cb5089c4910231af26"))
-
-  /** Version 3 `toBytes` of the same sketches as `goldenBytes`. */
+  /** `toBytes` of fixed sketches: profile, ε, length and SHA-256. */
   private val goldenBytesV3 = Seq[(ParamProfile, Double, Int, String)](
     (Practical, 0.01, 131842, "8fe552adf2d789e62314ebeb2bbe33651e3ecf2ac02b47c7b200b3a2ffce8fe7"),
     (Theory, 0.05, 178841, "f4cacf656986a367dafd2d25cebbca04ead9b75fd395bb5f66f1c18c742e219a"),
@@ -210,36 +195,6 @@ class SerializationSpec extends AnyFunSuite {
     }
   }
 
-  private val phis = Seq(1e-4, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0)
-
-  for ((profile, eps, length, digest) <- goldenBytes) {
-    test(s"golden v1 bytes: the test-side v1 writer's $profile sketch decodes to the source state") {
-      val s = ReqSketch(eps, 0.05, profile, seed = 24)
-      s.updateAll(Workloads.uniform(100000, 25))
-      val v1 = WireV1.toBytes(s)
-      assert(v1.length == length && sha256(v1) == digest)
-      val t = ReqSketch.fromBytes(v1)
-      assert(state(t) == state(s))
-      assert(phis.map(t.quantile).map(java.lang.Double.doubleToRawLongBits) ==
-        phis.map(s.quantile).map(java.lang.Double.doubleToRawLongBits))
-      assert(ReqSketch.toBytes(t).sameElements(ReqSketch.toBytes(s)))
-    }
-  }
-
-  for ((profile, eps, length, digest) <- goldenBytesV2) {
-    test(s"golden v2 bytes: the test-side v2 writer's $profile sketch decodes to the source state") {
-      val s = ReqSketch(eps, 0.05, profile, seed = 24)
-      s.updateAll(Workloads.uniform(100000, 25))
-      val v2 = WireV2.toBytes(s)
-      assert(v2.length == length && sha256(v2) == digest)
-      val t = ReqSketch.fromBytes(v2)
-      assert(state(t) == state(s))
-      assert(phis.map(t.quantile).map(java.lang.Double.doubleToRawLongBits) ==
-        phis.map(s.quantile).map(java.lang.Double.doubleToRawLongBits))
-      assert(ReqSketch.toBytes(t).sameElements(ReqSketch.toBytes(s)))
-    }
-  }
-
   test("a wrong magic fails with a StreamCorruptedException") {
     intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(patched(0)(_.putInt(0x52455154))))
     val foreign = new java.io.ByteArrayOutputStream()
@@ -250,6 +205,7 @@ class SerializationSpec extends AnyFunSuite {
   test("an unknown version, flags or profile tag fails with an InvalidObjectException") {
     assert(ReqSketch.fromBytes(patched(4)(_.put(3.toByte))).n == 5000)
     for (bytes <- Seq(patched(4)(_.put(4.toByte)), patched(4)(_.put(0.toByte)),
+                      patched(4)(_.put(1.toByte)), patched(4)(_.put(2.toByte)),
                       patched(5)(_.put(1.toByte)), patched(5)(_.put(0x80.toByte)),
                       patched(22)(_.put(3.toByte)), patched(22)(_.put(-1.toByte)),
                       patched(23)(_.putInt(12))))
@@ -285,18 +241,8 @@ class SerializationSpec extends AnyFunSuite {
   /** Bytes of an empty sketch with `levels` levels, the top one holding
     * `top`.
     */
-  private def withTopLevel(levels: Int, top: Double*): Array[Byte] = {
-    val s = ReqSketch(0.1, 0.1, seed = 30)
-    val sections = s.bufferCapacity / (2 * s.sectionSize)
-    val out = java.nio.ByteBuffer.allocate(63 + 20 * levels + 8 * top.length)
-    out.put(WireV1.toBytes(s), 0, 59).putInt(levels)
-    for (h <- 0 until levels) {
-      val items = if (h == levels - 1) top else Nil
-      out.putInt(s.sectionSize).putInt(items.length).putInt(sections).putLong(0L)
-      items.foreach(out.putDouble)
-    }
-    out.array()
-  }
+  private def withTopLevel(levels: Int, top: Double*): Array[Byte] =
+    withRecords(Seq.fill(levels - 1)(recordOf()) :+ recordOf(top: _*): _*)
 
   test("a stored weight above Long.MaxValue fails with an InvalidObjectException") {
     val s = ReqSketch.fromBytes(withTopLevel(63, 1.0))
@@ -338,49 +284,43 @@ class SerializationSpec extends AnyFunSuite {
     assert(!in.hasRemaining)
   }
 
-  /** Bytes of an empty ε = 0.1 sketch whose one level holds the keys
-    * `first`, then `first` plus each gap in turn, given as blocks of a width
-    * and its gaps, each block a width byte and its gaps packed at that
-    * width, low bit first; the header, and so the version, is `header`'s.
+  /** A level record of state 0 holding the keys `first`, then `first` plus
+    * each gap in turn, given as blocks of a width and its gaps, each block a
+    * width byte and its gaps packed at that width, low bit first.
     */
-  private def levelBytes(header: Array[Byte], first: Long, blocks: (Int, Seq[Long])*): Array[Byte] = {
+  private def record(first: Long, blocks: (Int, Seq[Long])*): Array[Byte] = {
     val packed = for ((w, gaps) <- blocks) yield {
       val bits = new java.util.BitSet
       for ((g, j) <- gaps.zipWithIndex; b <- 0 until math.min(w, 64) if ((g >>> b) & 1) == 1)
         bits.set(j * w + b)
       w.toByte +: java.util.Arrays.copyOf(bits.toByteArray, ((w.toLong * gaps.size + 7) / 8).toInt)
     }
-    val out = java.nio.ByteBuffer.allocate(63 + 20 + packed.map(_.length).sum)
-    out.put(header, 0, 59).putInt(1).putInt(blocks.map(_._2.size).sum + 1).putLong(0L).putLong(first)
+    val out = java.nio.ByteBuffer.allocate(20 + packed.map(_.length).sum)
+    out.putInt(blocks.map(_._2.size).sum + 1).putLong(0L).putLong(first)
     packed.foreach(out.put)
     out.array()
   }
 
-  /** Version 2 bytes of one level: `gaps` packed `w` bits each. */
-  private def v2Level(first: Long, w: Int, gaps: Long*): Array[Byte] =
-    levelBytes(WireV2.toBytes(ReqSketch(0.1, 0.1, seed = 40)), first, w -> gaps)
-
-  /** Version 3 bytes of one level: each block at its own width. */
-  private def v3Level(first: Long, blocks: (Int, Seq[Long])*): Array[Byte] =
-    levelBytes(ReqSketch.toBytes(ReqSketch(0.1, 0.1, seed = 40)), first, blocks: _*)
-
-  test("v2: hand-packed gaps decode; a width above 64 or keys past Long.MaxValue are rejected") {
-    val k1 = RelativeCompactor.key(1.0)
-    val s = ReqSketch.fromBytes(v2Level(k1, 3, 0L, 5L, 7L))
-    assert(s.coreset.toSeq.map(_._1) ==
-      Seq(k1, k1, k1 + 5, k1 + 12).map(RelativeCompactor.item))
-    for (bytes <- Seq(v2Level(k1, 65, 1L), v2Level(k1, 255, 1L)))
-      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
-    // A sum past Long.MaxValue wraps: through the 8-byte loop (w ≤ 56) and
-    // through the one that also reads a ninth byte (w of 57–64).
-    val wide = (1L << 56) - 1
-    for (bytes <- Seq(v2Level(Long.MaxValue - 3 * wide, 56, Seq.fill(12)(wide): _*),
-                      v2Level(0L, 63, 1L << 62, 1L << 62),
-                      v2Level(-2L, 64, -1L, 3L))) {
-      val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
-      assert(e.getMessage.contains("overflow"), e.getMessage)
+  /** The level record `writeRecord` writes for the ascending `items` and
+    * state 0: blocks of 64 gaps, each at the width of its widest.
+    */
+  private def recordOf(items: Double*): Array[Byte] =
+    if (items.isEmpty) new Array[Byte](12)
+    else {
+      val keys = items.map(RelativeCompactor.key)
+      val blocks = keys.zip(keys.tail).map { case (a, b) => b - a }.grouped(64).toSeq
+        .map(gaps => (64 - java.lang.Long.numberOfLeadingZeros(gaps.reduce(_ | _))) -> gaps)
+      record(keys.head, (if (blocks.isEmpty) Seq(0 -> Nil) else blocks): _*)
     }
-  }
+
+  /** Bytes of an empty ε = 0.1 sketch whose levels are `records`. */
+  private def withRecords(records: Array[Byte]*): Array[Byte] =
+    ReqSketch.toBytes(ReqSketch(0.1, 0.1, seed = 40)).take(59) ++
+      java.nio.ByteBuffer.allocate(4).putInt(records.size).array() ++ records.flatten
+
+  /** Bytes of one level: each block at its own width. */
+  private def v3Level(first: Long, blocks: (Int, Seq[Long])*): Array[Byte] =
+    withRecords(record(first, blocks: _*))
 
   /** The level-0 keys of `bytes`, which must decode to the same bytes. */
   private def decodedKeys(bytes: Array[Byte]): Seq[Long] = {
@@ -422,11 +362,16 @@ class SerializationSpec extends AnyFunSuite {
     val ones = 1 -> Seq.fill(64)(1L)
     for (w <- Seq(65, 128, 255))
       intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(v3Level(0L, ones, w -> Seq(1L))))
+    // The first block too.
+    for (w <- Seq(65, 255))
+      intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(v3Level(0L, w -> Seq(1L))))
     val big = (1L << 56) - 1
     // Through the one-getLong path (w ≤ 56, 8 bytes left after the gap), the
-    // input's last bytes and a 64-bit width.
+    // input's last bytes, the path that also reads a ninth byte (w of 57–64)
+    // in the first block, and a 64-bit width.
     for (bytes <- Seq(v3Level(Long.MaxValue - 64 - 3 * big, ones, 56 -> Seq.fill(12)(big)),
                       v3Level(Long.MaxValue - 70, ones, 3 -> Seq(4L, 4L)),
+                      v3Level(0L, 63 -> Seq(1L << 62, 1L << 62)),
                       v3Level(0L, ones, 64 -> Seq(Long.MaxValue, 1L)))) {
       val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(bytes))
       assert(e.getMessage.contains("overflow"), e.getMessage)
@@ -443,26 +388,16 @@ class SerializationSpec extends AnyFunSuite {
     intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(bytes :+ 0.toByte))
   }
 
-  test("v2: a last key that is a NaN fails with an InvalidObjectException") {
+  test("a last key that is a NaN fails with an InvalidObjectException") {
     val (one, inf) = (RelativeCompactor.key(1.0), RelativeCompactor.key(Double.PositiveInfinity))
-    assert(ReqSketch.fromBytes(v2Level(one, 63, inf - one)).rank(Double.PositiveInfinity) == 2)
-    val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(v2Level(one, 63, inf - one + 1)))
+    assert(ReqSketch.fromBytes(v3Level(one, 63 -> Seq(inf - one))).rank(Double.PositiveInfinity) == 2)
+    val e = intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(v3Level(one, 63 -> Seq(inf - one + 1))))
     assert(e.getMessage.contains("NaN") && e.getMessage.contains("level 0"))
     intercept[java.io.InvalidObjectException](
-      ReqSketch.fromBytes(v2Level(one, 63, RelativeCompactor.key(Double.NaN) - one)))
+      ReqSketch.fromBytes(v3Level(one, 63 -> Seq(RelativeCompactor.key(Double.NaN) - one))))
   }
 
-  test("v2: truncation at every cut fails with an IOException, and a trailing byte is rejected") {
-    val s = ReqSketch(0.1, 0.1, seed = 41)
-    s.updateAll(Workloads.uniform(20000, 42))
-    val bytes = WireV2.toBytes(s)
-    assert(s.height >= 3)
-    for (cut <- 0 until bytes.length)
-      intercept[java.io.IOException](ReqSketch.fromBytes(bytes.take(cut)))
-    intercept[java.io.StreamCorruptedException](ReqSketch.fromBytes(bytes :+ 0.toByte))
-  }
-
-  test("v2: all-equal keys take width 0 and no gap bytes") {
+  test("all-equal keys take width 0 and no gap bytes") {
     val s = ReqSketch(0.1, 0.1, seed = 43)
     s.updateAll(Array.fill(20000)(2.5))
     assert(s.height >= 2)
@@ -473,7 +408,7 @@ class SerializationSpec extends AnyFunSuite {
     assert(state(t) == state(s) && ReqSketch.toBytes(t).sameElements(bytes))
   }
 
-  test("v2: raw bit patterns round-trip, and keys from Long.MinValue up take width 64") {
+  test("raw bit patterns round-trip, and keys from Long.MinValue up take width 64") {
     val r = new java.util.Random(44)
     val raw = Array.fill(5000) {
       val x = java.lang.Double.longBitsToDouble(r.nextLong())
@@ -498,7 +433,7 @@ class SerializationSpec extends AnyFunSuite {
     assert(ReqSketch.toBytes(s)(63 + 12 + 8 + (negInfs - 1) / 64) == 64)
   }
 
-  test("v2: an item count outside [0, B] or sketch parameters a level rejects are refused") {
+  test("an item count outside [0, B] or sketch parameters a level rejects are refused") {
     val s = ReqSketch(0.1, 0.1, seed = 19)
     Seq(1.5, 2.5, 3.5).foreach(s.update)
     val bytes = ReqSketch.toBytes(s)
@@ -508,14 +443,15 @@ class SerializationSpec extends AnyFunSuite {
     assert(ReqSketch.fromBytes(patchedAt(63, 3)).rank(2.5) == 2)
     for (bad <- Seq(-1, Int.MinValue, s.bufferCapacity + 1, Int.MaxValue))
       intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(patchedAt(63, bad)))
-    // k at offset 51 and numSections at 55, which version 2 levels take from the header.
+    // k at offset 51 and numSections at 55, which level records take from the header.
     for ((offset, bad) <- Seq(51 -> 3, 51 -> 0, 51 -> (1 << 29), 55 -> 1, 55 -> (1 << 30)))
       intercept[java.io.InvalidObjectException](ReqSketch.fromBytes(patchedAt(offset, bad)))
   }
 
-  // A level record of equal keys claims up to B keys in 21 bytes, so B must
-  // follow from the header's ε, δ and N, as it does in every sketch.
-  test("v2: a header whose k or numSections differ from the profile's is refused") {
+  // A level record of equal keys claims up to B keys in 20 bytes and a width
+  // byte per 64 keys, so B must follow from the header's ε, δ and N, as it
+  // does in every sketch.
+  test("a header whose k or numSections differ from the profile's is refused") {
     val header = ReqSketch.toBytes(ReqSketch(0.1, 0.1, FixedK(8), seed = 46)).take(51)
     def oneLevel(k: Int, sections: Int, size: Int): Array[Byte] =
       java.nio.ByteBuffer.allocate(63 + 21).put(header).putInt(k).putInt(sections).putInt(1)
@@ -543,31 +479,6 @@ class SerializationSpec extends AnyFunSuite {
     (s.n, s.nBound, s.sectionSize, s.bufferCapacity, s.levelSizes,
      (0 to s.height).map(s.levelState), s.coreset.toSeq.map { case (x, w) =>
        (java.lang.Double.doubleToRawLongBits(x), w) })
-
-  test("a level written unsorted decodes and compacts like a full sort") {
-    val s = ReqSketch(0.1, 0.1, seed = 30)
-    s.updateAll(Workloads.uniform(300, 31).map(x => math.floor(x * 40) - 20.0) ++
-      Seq(-0.0, 0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity))
-    assert(s.height == 0)
-    val sorted = WireV1.toBytes(s)
-    val itemsAt = sorted.length - 8 * s.itemsStored
-    val items = java.nio.ByteBuffer.wrap(sorted, itemsAt, 8 * s.itemsStored).asDoubleBuffer()
-    val xs = Array.tabulate(s.itemsStored)(items.get)
-    val r = new scala.util.Random(32)
-    // Fully shuffled, and a sorted prefix followed by a shuffled tail.
-    for (order <- Seq(r.shuffle(xs.toSeq), xs.take(150).toSeq ++ r.shuffle(xs.drop(150).toSeq))) {
-      val unsorted = sorted.clone()
-      val out = java.nio.ByteBuffer.wrap(unsorted, itemsAt, 8 * xs.length).asDoubleBuffer()
-      order.foreach(out.put)
-      val (reference, decoded) = (ReqSketch.fromBytes(sorted), ReqSketch.fromBytes(unsorted))
-      assert(state(decoded) == state(reference))
-      val more = Workloads.uniform(50000, 33)
-      reference.updateAll(more)
-      decoded.updateAll(more)
-      assert(decoded.height > 0)
-      assert(state(decoded) == state(reference))
-    }
-  }
 
   test("the UDAF buffer encoder writes a sketch as its wire bytes and reads back its state") {
     for (profile <- Seq(Practical, Theory, FixedK(12))) {
